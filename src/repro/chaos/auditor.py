@@ -212,16 +212,15 @@ class RecoveryInvariantAuditor(KernelListener):
                 continue
             # Failed rank: its shard must come from the lowest-ranked
             # surviving peer that holds a complete copy (Section 6).
-            peers = [
-                peer
+            held = [
+                stores[peer].latest_complete(rank)
                 for peer in sorted(placement.storers_of(rank))
-                if peer != rank
-                and peer not in failed
-                and stores[peer].latest_complete(rank) is not None
+                if peer != rank and peer not in failed
             ]
-            if not peers:
+            complete = [latest for latest in held if latest is not None]
+            if not complete:
                 return False, self._fallback_rollback(persistent_latest)
-            iterations.append(stores[peers[0]].latest_complete(rank))
+            iterations.append(complete[0])
         # Store-level feasibility must imply placement-level
         # recoverability (the predicate core/probability.py computes the
         # odds of); flag the inconsistency if not.
@@ -254,6 +253,10 @@ class RecoveryInvariantAuditor(KernelListener):
     def _audit_retrievals(self, plan: RecoveryPlan) -> None:
         kernel = self.system
         stores = getattr(kernel.policy, "stores", None)
+        ssd = getattr(kernel.policy, "ssd", None)
+        # Tier-wide reads, once per plan rather than once per rank.
+        persistent_latest = kernel.persistent.latest_complete()
+        ssd_latest = ssd.latest_complete() if ssd is not None else None
         failed = set(plan.failed_ranks)
         covered = sorted(retrieval.rank for retrieval in plan.retrievals)
         if covered != list(range(kernel.cluster.size)):
@@ -264,7 +267,7 @@ class RecoveryInvariantAuditor(KernelListener):
         for retrieval in plan.retrievals:
             source = retrieval.source
             if source is RetrievalSource.PERSISTENT:
-                if kernel.persistent.latest_complete() is None:
+                if persistent_latest is None:
                     self._report(
                         "retrieval-sources",
                         f"rank {retrieval.rank} reads persistent storage but no "
@@ -272,14 +275,13 @@ class RecoveryInvariantAuditor(KernelListener):
                     )
                 continue
             if source is RetrievalSource.SSD:
-                ssd = getattr(kernel.policy, "ssd", None)
                 if ssd is None:
                     self._report(
                         "retrieval-sources",
                         f"rank {retrieval.rank} reads the SSD tier but the "
                         "policy has no SSD store",
                     )
-                elif ssd.latest_complete() is None:
+                elif ssd_latest is None:
                     self._report(
                         "retrieval-sources",
                         f"rank {retrieval.rank} reads the SSD tier but no "

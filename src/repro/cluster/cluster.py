@@ -9,7 +9,7 @@ their machine rank IDs", Section 6.2).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.cluster.catalog import ClusterSpec
 from repro.cluster.instances import InstanceType
@@ -60,7 +60,13 @@ class Cluster:
         #: the primary shape (group 0 of the spec, or the single SKU).
         self.instance_type = instance_type
         self._id_counter = itertools.count()
+        #: filled in rank order; replace() only rebinds existing keys, so
+        #: iteration order stays rank order without sorting.
         self._by_rank: Dict[int, Machine] = {}
+        #: ranks whose current machine is not HEALTHY, kept by _on_transition.
+        self._down: Set[int] = set()
+        #: one bound method shared by every machine, not one per machine.
+        self._hook = self._on_transition
         for rank in range(num_machines):
             self._by_rank[rank] = self._new_machine(rank)
 
@@ -74,8 +80,19 @@ class Cluster:
                 rank,
                 self.spec.instance_for_rank(rank),
                 position=self.spec.position_for_rank(rank),
+                on_transition=self._hook,
             )
-        return Machine(machine_id, rank, self.instance_type)
+        return Machine(
+            machine_id, rank, self.instance_type, on_transition=self._hook
+        )
+
+    def _on_transition(self, machine: Machine) -> None:
+        if self._by_rank.get(machine.rank) is not machine:
+            return  # replaced away: no longer this rank's machine
+        if machine.state is MachineState.HEALTHY:
+            self._down.discard(machine.rank)
+        else:
+            self._down.add(machine.rank)
 
     # -- access ---------------------------------------------------------------
 
@@ -93,7 +110,7 @@ class Cluster:
 
     def machines(self) -> List[Machine]:
         """All machines in rank order."""
-        return [self._by_rank[rank] for rank in sorted(self._by_rank)]
+        return list(self._by_rank.values())
 
     def __iter__(self) -> Iterator[Machine]:
         return iter(self.machines())
@@ -103,14 +120,21 @@ class Cluster:
 
     def healthy_ranks(self) -> List[int]:
         """Ranks whose machines are fully healthy."""
-        return [m.rank for m in self.machines() if m.is_healthy]
+        down = self._down
+        return [rank for rank in self._by_rank if rank not in down]
+
+    def down_ranks(self) -> List[int]:
+        """Ranks whose machines are not fully healthy, ascending; costs
+        O(down ranks), not a cluster scan."""
+        return sorted(self._down)
 
     def failed_ranks(self) -> List[int]:
         """Ranks whose machines are hardware-failed or being replaced."""
         return [
-            m.rank
-            for m in self.machines()
-            if m.state in (MachineState.FAILED, MachineState.REPLACING)
+            rank
+            for rank in self.down_ranks()
+            if self._by_rank[rank].state
+            in (MachineState.FAILED, MachineState.REPLACING)
         ]
 
     def fault_domains(self) -> Optional[Tuple[Tuple[int, ...], ...]]:
@@ -141,6 +165,7 @@ class Cluster:
             raise RuntimeError(f"refusing to replace healthy machine at rank {rank}")
         replacement = self._new_machine(rank)
         self._by_rank[rank] = replacement
+        self._down.discard(rank)
         return replacement
 
     def __repr__(self) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, List, Optional
 
 from repro.cluster.instances import InstanceType
 from repro.units import fmt_bytes
@@ -79,6 +79,10 @@ class Machine:
         :class:`repro.network.topology.Position`), or ``None`` on a flat
         fabric.  Like the rank, the position belongs to the *slot*: a
         replacement machine inherits it.
+    on_transition:
+        Called with the machine after every state transition (the owning
+        :class:`~repro.cluster.cluster.Cluster` keeps its down-rank index
+        with it).
     """
 
     def __init__(
@@ -87,32 +91,54 @@ class Machine:
         rank: int,
         instance_type: InstanceType,
         position=None,
+        on_transition: Optional[Callable[["Machine"], None]] = None,
     ):
         self.machine_id = machine_id
         self.rank = rank
         self.instance_type = instance_type
         self.position = position
-        self.state = MachineState.HEALTHY
+        #: Incremented on every incarnation change; lets stale async events
+        #: (e.g. a transfer completing after the machine died) detect staleness.
+        self.epoch = 0
+        self._on_transition = on_transition
+        self._state = MachineState.HEALTHY
+        self._healthy = True
+        self._hardware_alive = True
+        #: ``epoch`` while the hardware is alive, None once it is lost.
+        self.live_epoch: Optional[int] = self.epoch
         self.gpus: List[GPU] = [
             GPU(index=i, memory_bytes=instance_type.gpu_memory_bytes)
             for i in range(instance_type.num_gpus)
         ]
         self.cpu_memory_bytes = instance_type.cpu_memory_bytes
         self.cpu_memory_used = 0.0
-        #: Incremented on every incarnation change; lets stale async events
-        #: (e.g. a transfer completing after the machine died) detect staleness.
-        self.epoch = 0
 
     # -- health -------------------------------------------------------------
 
     @property
+    def state(self) -> MachineState:
+        return self._state
+
+    @state.setter
+    def state(self, state: MachineState) -> None:
+        # Every transition, including the cloud operator's direct
+        # REPLACING write, lands here, so the liveness flags the fleet
+        # loops read cannot drift from the enum.
+        self._state = state
+        self._healthy = state is MachineState.HEALTHY
+        self._hardware_alive = self._healthy or state is MachineState.PROCESS_DOWN
+        self.live_epoch = self.epoch if self._hardware_alive else None
+        if self._on_transition is not None:
+            self._on_transition(self)
+
+    @property
     def is_healthy(self) -> bool:
-        return self.state == MachineState.HEALTHY
+        return self._healthy
 
     @property
     def hardware_alive(self) -> bool:
         """CPU memory contents survive software failures but not hardware ones."""
-        return self.state in (MachineState.HEALTHY, MachineState.PROCESS_DOWN)
+        return self._hardware_alive
 
     def mark_process_down(self) -> None:
         """Software failure: the process dies, memory contents survive."""
@@ -122,11 +148,11 @@ class Machine:
 
     def mark_failed(self) -> None:
         """Hardware failure: machine (and its CPU memory contents) are lost."""
-        self.state = MachineState.FAILED
         self.epoch += 1
         self.cpu_memory_used = 0.0
         for gpu in self.gpus:
             gpu.used_bytes = 0.0
+        self.state = MachineState.FAILED  # last: live_epoch follows the new epoch
 
     def restart_process(self) -> None:
         """Recover from a software failure in place.

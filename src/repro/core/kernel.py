@@ -752,7 +752,7 @@ class SimulatedTrainingSystem:
         """
         if self._recovery_active:
             return False
-        return all(m.is_healthy for m in self.cluster.machines())
+        return not self.cluster.down_ranks()
 
     def record_persistent_aborted(self, snapshot: int, **extra) -> None:
         """Bookkeeping after an upload window tore and was abandoned."""

@@ -19,8 +19,8 @@ Ranks here are 0-indexed (the paper's pseudocode is 1-indexed).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 
 class PlacementStrategy(enum.Enum):
@@ -55,6 +55,13 @@ class Placement:
     strategy: PlacementStrategy
     groups: Tuple[Tuple[int, ...], ...]
     replica_sets: Tuple[FrozenSet[int], ...]
+    #: ``_hosted[storer]``: the owners whose shards it hosts, ascending
+    #: (the inverse of ``replica_sets``); built by ``__post_init__``.
+    _hosted: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    #: ``_group_of[rank]``: its Algorithm 1 group, None if in none.
+    _group_of: Tuple[Optional[Tuple[int, ...]], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.num_machines < 1:
@@ -63,6 +70,32 @@ class Placement:
             raise ValueError(
                 f"m must be in [1, N={self.num_machines}], got {self.num_replicas}"
             )
+        # Build the inverse indices in one O(N*m) pass over the replica
+        # sets, so every query below is a lookup, not a fleet scan.  This
+        # also runs for dataclasses.replace and hand-built placements.
+        if len(self.replica_sets) != self.num_machines:
+            raise ValueError(
+                f"{len(self.replica_sets)} replica sets for N={self.num_machines} machines"
+            )
+        n = self.num_machines
+        hosted: List[List[int]] = [[] for _ in range(n)]
+        for owner, storers in enumerate(self.replica_sets):
+            if not storers:
+                raise ValueError(f"rank {owner} has an empty replica set")
+            for machine in storers:
+                if not 0 <= machine < n:
+                    raise ValueError(
+                        f"rank {owner} stores on unknown machine {machine}"
+                    )
+                hosted[machine].append(owner)  # owners ascend: lists stay sorted
+        group_of: List[Optional[Tuple[int, ...]]] = [None] * n
+        for group in reversed(self.groups):  # the first group listing a rank wins
+            for rank in group:
+                if not 0 <= rank < n:
+                    raise ValueError(f"group {group} names unknown rank {rank}")
+                group_of[rank] = group
+        object.__setattr__(self, "_hosted", tuple(map(tuple, hosted)))
+        object.__setattr__(self, "_group_of", tuple(group_of))
 
     # -- queries ---------------------------------------------------------------
 
@@ -71,12 +104,10 @@ class Placement:
         return self.replica_sets[rank]
 
     def hosted_by(self, rank: int) -> List[int]:
-        """Shard owners whose checkpoints machine ``rank`` stores."""
-        return [
-            owner
-            for owner, storers in enumerate(self.replica_sets)
-            if rank in storers
-        ]
+        """Shard owners whose checkpoints machine ``rank`` stores, ascending."""
+        if not 0 <= rank < self.num_machines:
+            return []
+        return list(self._hosted[rank])
 
     def remote_targets(self, rank: int) -> List[int]:
         """Where machine ``rank`` sends its shard (excludes itself), sorted."""
@@ -84,24 +115,28 @@ class Placement:
 
     def group_of(self, rank: int) -> Tuple[int, ...]:
         """The Algorithm 1 group containing ``rank``."""
-        for group in self.groups:
-            if rank in group:
-                return group
-        raise KeyError(f"rank {rank} not in any group")
+        group = self._group_of[rank] if 0 <= rank < self.num_machines else None
+        if group is None:
+            raise KeyError(f"rank {rank} not in any group")
+        return group
 
     # -- recoverability -------------------------------------------------------------
 
     def lost_shards(self, failed_ranks: Iterable[int]) -> List[int]:
-        """Shard owners whose every CPU-memory replica sits on a failed machine."""
-        failed = set(failed_ranks)
-        unknown = failed - set(range(self.num_machines))
+        """Shard owners whose every CPU-memory replica sits on a failed machine.
+
+        Only owners hosted by a failed rank can be lost, so this visits
+        O(|failed| * m) replica sets, not all N.
+        """
+        down = set(failed_ranks)
+        failed = sorted(down)
+        unknown = [rank for rank in failed if not 0 <= rank < self.num_machines]
         if unknown:
-            raise ValueError(f"unknown ranks in failure set: {sorted(unknown)}")
-        return [
-            owner
-            for owner, storers in enumerate(self.replica_sets)
-            if storers <= failed
-        ]
+            raise ValueError(f"unknown ranks in failure set: {unknown}")
+        candidates = sorted(
+            {owner for rank in failed for owner in self._hosted[rank]}
+        )
+        return [owner for owner in candidates if self.replica_sets[owner] <= down]
 
     def recoverable(self, failed_ranks: Iterable[int]) -> bool:
         """True if recovery from CPU memory is possible after these failures."""
@@ -109,12 +144,7 @@ class Placement:
 
     def max_replicas_per_machine(self) -> int:
         """Peak number of shards any machine hosts (CPU memory budget)."""
-        counts: Dict[int, int] = {}
-        for storers in self.replica_sets:
-            for machine in storers:
-                counts[machine] = counts.get(machine, 0) + 1
-        # integer max is order-independent  # repro: allow[DET003]
-        return max(counts.values())
+        return max(len(owners) for owners in self._hosted)
 
     def checkpoint_sends_per_machine(self) -> int:
         """Remote replica transfers each machine performs per checkpoint."""
@@ -148,10 +178,10 @@ def group_placement(num_machines: int, num_replicas: int) -> Placement:
         tuple(range(start, start + num_replicas))
         for start in range(0, num_machines, num_replicas)
     ]
-    # replica_sets indexed by rank: rank r belongs to groups[r // m]
-    replica_sets = [
-        frozenset(groups[rank // num_replicas]) for rank in range(num_machines)
-    ]
+    # replica_sets indexed by rank: rank r belongs to groups[r // m]; a
+    # group's members share one frozenset.
+    members = [frozenset(group) for group in groups]
+    replica_sets = [members[rank // num_replicas] for rank in range(num_machines)]
     return Placement(
         num_machines=num_machines,
         num_replicas=num_replicas,
@@ -195,8 +225,9 @@ def mixed_placement(num_machines: int, num_replicas: int) -> Placement:
     for index in range(num_full_groups):
         group = tuple(range(index * m, (index + 1) * m))
         groups.append(group)
+        members = frozenset(group)
         for rank in group:
-            replica_sets[rank] = frozenset(group)
+            replica_sets[rank] = members
     ring_members = list(range(num_full_groups * m, n))
     groups.append(tuple(ring_members))
     replica_sets.update(_ring_replica_sets(ring_members, m))
@@ -264,8 +295,9 @@ def topology_aware_placement(
     for index in range(num_full_groups):
         group = tuple(ordering[index * m : (index + 1) * m])
         groups.append(group)
+        members = frozenset(group)
         for rank in group:
-            replica_sets[rank] = frozenset(group)
+            replica_sets[rank] = members
     if ring_members:
         groups.append(tuple(ring_members))
         replica_sets.update(_ring_replica_sets(ring_members, m))

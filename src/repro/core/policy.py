@@ -226,13 +226,20 @@ class GeminiPolicy(CheckpointPolicy):
         kernel = self.kernel
         now = kernel.sim.now if at is None else at
         if write_stores:
-            for rank in range(kernel.cluster.size):
+            # Resolve each storer's health and store once per commit, not
+            # once per (owner, storer) pair; None marks a skipped storer.
+            cluster, stores = kernel.cluster, self.stores
+            writable = [
+                stores[rank]
+                if (cluster.machine(rank).is_healthy or rank in assume_healthy)
+                and stores[rank].valid
+                else None
+                for rank in range(cluster.size)
+            ]
+            for rank in range(cluster.size):
                 for storer in self.placement.storers_of(rank):
-                    machine = kernel.cluster.machine(storer)
-                    if not (machine.is_healthy or storer in assume_healthy):
-                        continue
-                    store = self.stores[storer]
-                    if not store.valid:
+                    store = writable[storer]
+                    if store is None:
                         continue
                     latest = store.latest_complete(rank)
                     if latest is not None and latest >= iteration:
@@ -337,16 +344,12 @@ class GeminiPolicy(CheckpointPolicy):
         cost = kernel.cost_model
         initially_missing = list(detected.missing_ranks)
         while True:
-            failed_hw = [
-                m.rank
-                for m in kernel.cluster.machines()
-                if m.state in (MachineState.FAILED, MachineState.REPLACING)
-            ]
-            failed_sw = [
-                m.rank
-                for m in kernel.cluster.machines()
-                if m.state == MachineState.PROCESS_DOWN
-            ]
+            failed_hw, failed_sw = [], []
+            for rank in kernel.cluster.down_ranks():
+                if kernel.cluster.machine(rank).state is MachineState.PROCESS_DOWN:
+                    failed_sw.append(rank)
+                else:  # FAILED or REPLACING
+                    failed_hw.append(rank)
             if not failed_hw and not failed_sw:
                 break
             failure_type = FailureType.HARDWARE if failed_hw else FailureType.SOFTWARE
@@ -455,9 +458,7 @@ class GeminiPolicy(CheckpointPolicy):
                 overhead=round(record.total_overhead, 3),
             )
             # Loop again if new failures arrived during recovery.
-            still_broken = [
-                m.rank for m in kernel.cluster.machines() if not m.is_healthy
-            ]
+            still_broken = kernel.cluster.down_ranks()
             if not still_broken:
                 break
             detected = DetectedFailure(
@@ -535,15 +536,9 @@ class GeminiPolicy(CheckpointPolicy):
         rollback = plan.rollback_iteration
         if rollback is None:
             return
-        for _rank, store in self.stores.items():
-            if not store.valid:
-                continue
-            for owner in store.hosted_ranks():
-                slot = store.slot(owner)
-                if slot.in_progress_iteration is not None:
-                    store.abort_write(owner)
-                if slot.completed_iteration is None or slot.completed_iteration < rollback:
-                    slot.completed_iteration = rollback
+        for store in self.stores.values():
+            if store.valid:
+                store.reseed(rollback)
         # Respawn agents for every rank whose worker lease is gone.
         if not self.config.use_agents:
             return

@@ -123,18 +123,20 @@ def plan_recovery(
             iterations.append(own)
             retrievals.append(ShardRetrieval(rank=rank, source=RetrievalSource.LOCAL_CPU))
             continue
-        peers = [
-            peer
-            for peer in placement.storers_of(rank)
-            if peer != rank
-            and peer not in failed
-            and stores[peer].latest_complete(rank) is not None
-        ]
-        if not peers:
+        # The lowest-ranked surviving peer with a complete copy, reading
+        # each candidate's store once.
+        peer = latest = None
+        for candidate in sorted(placement.storers_of(rank)):
+            if candidate == rank or candidate in failed:
+                continue
+            latest = stores[candidate].latest_complete(rank)
+            if latest is not None:
+                peer = candidate
+                break
+        if peer is None:
             # Case 2: a whole placement group failed together.
             return _persistent_plan(placement, persistent, failure_type, failed)
-        peer = min(peers)
-        iterations.append(stores[peer].latest_complete(rank))
+        iterations.append(latest)
         retrievals.append(
             ShardRetrieval(rank=rank, source=RetrievalSource.REMOTE_CPU, peer=peer)
         )

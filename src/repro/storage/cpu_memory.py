@@ -8,8 +8,9 @@ checkpoint recoverable — the double-buffer is what makes per-iteration
 checkpointing crash-consistent.
 
 Contents live in the machine's CPU memory and are destroyed by hardware
-failures (the store watches the machine's ``hardware_alive`` flag and its
-incarnation epoch).
+failures (the store compares the machine's ``live_epoch``, its
+incarnation epoch while the hardware is alive, with the epoch it was
+created in).
 """
 
 from __future__ import annotations
@@ -68,10 +69,10 @@ class CPUCheckpointStore:
     @property
     def valid(self) -> bool:
         """Contents survive only while the hardware incarnation is unchanged."""
-        return self.machine.hardware_alive and self.machine.epoch == self._epoch
+        return self.machine.live_epoch == self._epoch
 
     def _check_valid(self) -> None:
-        if not self.valid:
+        if self.machine.live_epoch != self._epoch:
             raise RuntimeError(
                 f"checkpoint store on {self.machine} is invalid "
                 "(hardware failed or machine replaced)"
@@ -173,6 +174,16 @@ class CPUCheckpointStore:
         slot.completed_iteration = None
         slot.in_progress_iteration = None
 
+    def reseed(self, iteration: int) -> None:
+        """Post-recovery state: every in-progress write is discarded and
+        every hosted shard holds at least ``iteration`` (a replacement
+        received it; a survivor kept it or something newer)."""
+        self._check_valid()
+        for slot in self._slots.values():
+            slot.in_progress_iteration = None
+            if slot.completed_iteration is None or slot.completed_iteration < iteration:
+                slot.completed_iteration = iteration
+
     # -- reads ------------------------------------------------------------------------
 
     def latest_complete(self, rank: int) -> Optional[int]:
@@ -181,7 +192,7 @@ class CPUCheckpointStore:
         Returns None (rather than raising) when the store is invalid, since
         "nothing recoverable here" is the semantic a recovery planner wants.
         """
-        if not self.valid:
+        if self.machine.live_epoch != self._epoch:
             return None
         slot = self._slots.get(rank)
         return slot.completed_iteration if slot else None
