@@ -55,13 +55,11 @@ class WorkerAgent:
         self.rank = rank
         self.heartbeat_interval = heartbeat_interval
         self.lease_ttl = lease_ttl
+        #: this rank's key under :data:`HEALTH_PREFIX`.
+        self.health_key = f"{HEALTH_PREFIX}{rank}"
         self.lease: Optional[Lease] = None
         self._stopped = False
         self._process = sim.process(self._heartbeat_loop(), name=f"worker-agent-{rank}")
-
-    @property
-    def health_key(self) -> str:
-        return f"{HEALTH_PREFIX}{self.rank}"
 
     def stop(self) -> None:
         """Stop heartbeating (graceful shutdown)."""
@@ -127,12 +125,14 @@ class RootAgent:
         self._being_handled: Set[int] = set()
         self.election = Election(store, ROOT_ELECTION_KEY)
         self._lease = store.grant_lease(lease_ttl)
-        self._candidacy = self.election.campaign(f"rank-{rank}", self._lease)
+        self._candidate_id = f"rank-{rank}"
+        self._candidacy = self.election.campaign(self._candidate_id, self._lease)
         self._process = sim.process(self._scan_loop(), name=f"root-agent-{rank}")
 
     @property
     def is_leader(self) -> bool:
-        return self.election.leader() == f"rank-{self.rank}"
+        # A read through the store, as an etcd client would make one.
+        return self.election.leader() == self._candidate_id
 
     def stop(self) -> None:
         self._stopped = True

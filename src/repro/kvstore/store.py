@@ -15,6 +15,7 @@ Raft replication — the paper treats etcd as a reliable external service).
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -35,6 +36,9 @@ class WatchEvent:
     key: str
     value: Optional[Any]
     revision: int
+
+
+_Watch = Tuple[str, Callable[[WatchEvent], None]]
 
 
 class Lease:
@@ -72,9 +76,11 @@ class Lease:
 
     def _arm_expiry(self) -> None:
         expected = self.expires_at
-        self.store.sim.call_at(expected, lambda: self._maybe_expire(expected))
+        self.store.sim.call_at(expected, functools.partial(self._maybe_expire, expected))
 
     def _maybe_expire(self, expected: float) -> None:
+        # Compare against the armed value, not the firing time: the heap
+        # holds ``now + (expected - now)``, which need not equal ``expected``.
         if self.revoked or self.expires_at != expected:
             return  # revoked, or refreshed since this timer was armed
         self.revoked = True
@@ -92,7 +98,14 @@ class KVStore:
         self.sim = sim
         self.revision = 0
         self._data: Dict[str, Tuple[Any, int, Optional[Lease]]] = {}
-        self._watches: List[Tuple[str, Callable[[WatchEvent], None]]] = []
+        #: registered watches, in registration order; a cancel removes
+        #: its own entry by identity.
+        self._watches: List[_Watch] = []
+        #: key -> the watches whose prefix matches it, in registration
+        #: order.  Filled on a key's first mutation and dropped whenever
+        #: the watch list changes, so a mutation costs one dict lookup
+        #: instead of a prefix test per watch.
+        self._watchers_of: Dict[str, Tuple[_Watch, ...]] = {}
 
     # -- leases ---------------------------------------------------------------
 
@@ -136,7 +149,7 @@ class KVStore:
             raise RuntimeError(f"cannot put {key!r} with dead {lease!r}")
         self.revision += 1
         self._data[key] = (value, self.revision, lease)
-        self._notify(WatchEvent(WatchEventType.PUT, key, value, self.revision))
+        self._notify(WatchEventType.PUT, key, value)
         return self.revision
 
     def delete(self, key: str) -> bool:
@@ -149,7 +162,7 @@ class KVStore:
     def _delete(self, key: str) -> None:
         del self._data[key]
         self.revision += 1
-        self._notify(WatchEvent(WatchEventType.DELETE, key, None, self.revision))
+        self._notify(WatchEventType.DELETE, key, None)
 
     def compare_and_swap(
         self, key: str, expected: Optional[Any], value: Any, lease: Optional[Lease] = None
@@ -170,21 +183,36 @@ class KVStore:
 
     def watch(self, prefix: str, callback: Callable[[WatchEvent], None]) -> Callable[[], None]:
         """Observe mutations under ``prefix``; returns a cancel function."""
-        entry = (prefix, callback)
+        entry: _Watch = (prefix, callback)
         self._watches.append(entry)
+        self._watchers_of.clear()
 
         def cancel() -> None:
-            try:
-                self._watches.remove(entry)
-            except ValueError:
-                pass
+            # By identity: an equal (prefix, callback) pair registered
+            # earlier is a different watch and keeps its place.
+            for index, registered in enumerate(self._watches):
+                if registered is entry:
+                    del self._watches[index]
+                    self._watchers_of.clear()
+                    return
 
         return cancel
 
-    def _notify(self, event: WatchEvent) -> None:
-        for prefix, callback in list(self._watches):
-            if event.key.startswith(prefix):
-                callback(event)
+    def _notify(self, kind: WatchEventType, key: str, value: Optional[Any]) -> None:
+        """Deliver the mutation at the current revision to matching watches.
+
+        The watcher tuple is a snapshot: a watch added or cancelled by a
+        callback takes effect from the next mutation on.
+        """
+        watchers = self._watchers_of.get(key)
+        if watchers is None:
+            watchers = tuple(w for w in self._watches if key.startswith(w[0]))
+            self._watchers_of[key] = watchers
+        if not watchers:
+            return
+        event = WatchEvent(kind, key, value, self.revision)
+        for _prefix, callback in watchers:
+            callback(event)
 
     def __repr__(self) -> str:
         return f"<KVStore rev={self.revision} keys={len(self._data)}>"

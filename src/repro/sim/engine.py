@@ -25,6 +25,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 _URGENT = 0
 _NORMAL = 1
 
+_INF = float("inf")
+
 # Process-wide tally of events fired by completed ``Simulator.run()``
 # calls.  Purely observational: telemetry (``repro.obs.fleet``) reads
 # deltas around a scenario to report sim-events throughput without
@@ -191,21 +193,23 @@ class Simulator:
         """
         if until is not None and until < self.now:
             raise SimulationError(f"run(until={until}) is in the past (now={self.now})")
-        # Hoisted inline form of step(): the queue, heappop, and the
-        # (usually disabled) instrument handles are resolved once per run
-        # instead of per event — the loop body is pure local-variable work.
+        # Hoisted inline form of step(): the queue and heappop are resolved
+        # once per run instead of per event, so the loop body is pure
+        # local-variable work.  The DES instruments are brought up to date
+        # once, on the way out, with the queue depth after the last pop:
+        # at every return they read what per-event updates would leave.
         global _EVENTS_TALLY
         timeline = self._timeline
-        evt_counter = self._evt_counter
-        depth_gauge = self._depth_gauge
+        limit = _INF if until is None else until
         entry = self.events_processed
+        depth = 0
         try:
             with self._sanitize_factory():
                 if timeline is None:
                     queue = self._queue
                     pop = heapq.heappop
                     while queue:
-                        if until is not None and queue[0][0] > until:
+                        if queue[0][0] > limit:
                             break
                         time, _lane, _seq, event = pop(queue)
                         if time < self.now:
@@ -214,13 +218,11 @@ class Simulator:
                             )
                         self.now = time
                         self.events_processed += 1
-                        if evt_counter is not None and depth_gauge is not None:
-                            evt_counter.inc()
-                            depth_gauge.set(len(queue))
+                        depth = len(queue)
                         event._run_callbacks()
                 else:
                     while timeline:
-                        if until is not None and timeline.peek_time() > until:
+                        if timeline.peek_time() > limit:
                             break
                         time, _lane, _seq, event = timeline.pop()
                         if time < self.now:
@@ -229,14 +231,16 @@ class Simulator:
                             )
                         self.now = time
                         self.events_processed += 1
-                        if evt_counter is not None and depth_gauge is not None:
-                            evt_counter.inc()
-                            depth_gauge.set(len(timeline))
+                        depth = len(timeline)
                         event._run_callbacks()
         except StopSimulation as stop:
             return stop.value
         finally:
-            _EVENTS_TALLY += self.events_processed - entry
+            fired = self.events_processed - entry
+            _EVENTS_TALLY += fired
+            if fired and self._evt_counter is not None and self._depth_gauge is not None:
+                self._evt_counter.inc(fired)
+                self._depth_gauge.set(depth)
         if until is not None:
             self.now = max(self.now, until)
         return None

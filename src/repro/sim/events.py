@@ -50,6 +50,8 @@ class Event:
     __slots__ = ("sim", "name", "callbacks", "_value", "_ok", "_fired", "_defused")
 
     def __init__(self, sim: "Simulator", name: Optional[str] = None):
+        # Timeout and Callback set these slots without calling here: a
+        # slot added to Event must be set in their constructors too.
         self.sim = sim
         self.name = name
         self.callbacks: List[Callable[["Event"], None]] = []
@@ -135,27 +137,39 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` time units after creation."""
+    """An event that fires ``delay`` time units after creation.
+
+    The constructor sets every slot itself rather than going through
+    :meth:`Event.__init__`: timeouts and callbacks are most of a run's
+    events.  The ``Timeout(<delay>)`` label is formatted only when read.
+    """
 
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim, name=f"Timeout({delay})")
-        self.delay = delay
-        self._ok = True
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._schedule_event(self, delay=delay)
+        self._ok = True
+        self._fired = False
+        self._defused = True
+        self.delay = delay
+        sim._schedule_event(self, delay)
+
+    @property  # type: ignore[override, misc]
+    def name(self) -> str:
+        return f"Timeout({self.delay})"
 
 
 class Callback(Event):
     """Fast-path event that invokes a bare ``func()`` when it fires.
 
     ``Simulator.call_after``/``call_at`` schedule one of these instead of
-    a :class:`Timeout` plus a wrapping lambda: one allocation, no f-string
-    name, no per-call closure.  Callbacks appended to :attr:`callbacks`
-    after construction still run (after ``func``), preserving plain Event
+    a :class:`Timeout` plus a wrapping lambda: one allocation, no name,
+    no per-call closure.  Callbacks appended to :attr:`callbacks` after
+    construction still run (after ``func``), preserving plain Event
     semantics for the returned object.
     """
 
@@ -164,11 +178,15 @@ class Callback(Event):
     def __init__(self, sim: "Simulator", delay: float, func: Callable[[], None]):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim, name=None)
-        self._ok = True
+        self.sim = sim
+        self.name = None
+        self.callbacks = []
         self._value = None
+        self._ok = True
+        self._fired = False
+        self._defused = True
         self._func: Optional[Callable[[], None]] = func
-        sim._schedule_event(self, delay=delay)
+        sim._schedule_event(self, delay)
 
     def _run_callbacks(self) -> None:
         self._fired = True

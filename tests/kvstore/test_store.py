@@ -137,6 +137,44 @@ class TestWatches:
         store.put("k", 2)
         assert len(events) == 1
 
+    def test_cancel_removes_its_own_registration(self, store):
+        """Cancelling a repeat of an equal (prefix, callback) pair keeps
+        the first one where it was."""
+        calls = []
+
+        def a(event):
+            calls.append("a")
+
+        def b(event):
+            calls.append("b")
+
+        store.watch("k", a)
+        store.watch("k", b)
+        cancel_repeat = store.watch("k", a)
+        store.put("k", 1)
+        assert calls == ["a", "b", "a"]
+        calls.clear()
+        cancel_repeat()
+        store.put("k", 2)
+        assert calls == ["a", "b"]
+        calls.clear()
+        cancel_repeat()  # a second cancel is a no-op
+        store.put("k", 3)
+        assert calls == ["a", "b"]
+
+    def test_watch_added_during_dispatch_sees_next_event(self, store):
+        events = []
+
+        def add_watch(event):
+            if not events:
+                store.watch("k", events.append)
+
+        store.watch("k", add_watch)
+        store.put("k", 1)
+        assert events == []
+        store.put("k", 2)
+        assert [e.value for e in events] == [2]
+
     def test_lease_expiry_generates_delete_events(self, sim, store):
         events = []
         store.watch("health/", events.append)

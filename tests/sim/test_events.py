@@ -96,6 +96,13 @@ class TestTimeout:
         assert sim.now == 1.0
         assert not timeout.triggered
 
+    def test_repr_and_name(self, sim):
+        timeout = sim.timeout(5.0)
+        assert repr(timeout) == "<Timeout(5.0) pending at t=0.0>"
+        assert timeout.name == "Timeout(5.0)"
+        sim.run()
+        assert repr(timeout) == "<Timeout(5.0) ok at t=5.0>"
+
 
 class TestProcess:
     def test_process_runs_to_completion(self, sim):
