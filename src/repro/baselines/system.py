@@ -25,7 +25,7 @@ from repro.core.recovery import (
     RecoveryPlan,
     RecoveryRecord,
     RetrievalSource,
-    ShardRetrieval,
+    uniform_retrievals,
 )
 from repro.failures.types import FailureEvent
 from repro.storage.serialization import SerializationModel
@@ -152,10 +152,9 @@ class PersistentOnlyPolicy(CheckpointPolicy):
         return RecoveryPlan(
             failure_type=failure_type,
             failed_ranks=sorted(failed_ranks),
-            retrievals=[
-                ShardRetrieval(rank=rank, source=RetrievalSource.PERSISTENT)
-                for rank in range(kernel.cluster.size)
-            ],
+            retrievals=list(
+                uniform_retrievals(kernel.cluster.size, RetrievalSource.PERSISTENT)
+            ),
             rollback_iteration=rollback,
             from_cpu_memory=False,
         )

@@ -26,6 +26,7 @@ bandwidths, and no transit links.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -217,9 +218,18 @@ class ClusterSpec:
 
     # -- composition -----------------------------------------------------------
 
-    @property
+    @functools.cached_property
     def num_machines(self) -> int:
+        # Per-rank lookups read this on every call; the groups never
+        # change, so sum them once.
         return sum(count for _shape, count in self.machines)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Pickle the fields only, never the cached size: the same bytes
+        # whether or not ``num_machines`` has been read.
+        state = dict(self.__dict__)
+        state.pop("num_machines", None)
+        return state
 
     def instance_name_for_rank(self, rank: int) -> str:
         if not 0 <= rank < self.num_machines:

@@ -226,26 +226,13 @@ class GeminiPolicy(CheckpointPolicy):
         kernel = self.kernel
         now = kernel.sim.now if at is None else at
         if write_stores:
-            # Resolve each storer's health and store once per commit, not
-            # once per (owner, storer) pair; None marks a skipped storer.
-            cluster, stores = kernel.cluster, self.stores
-            writable = [
-                stores[rank]
-                if (cluster.machine(rank).is_healthy or rank in assume_healthy)
-                and stores[rank].valid
-                else None
-                for rank in range(cluster.size)
-            ]
-            for rank in range(cluster.size):
-                for storer in self.placement.storers_of(rank):
-                    store = writable[storer]
-                    if store is None:
-                        continue
-                    latest = store.latest_complete(rank)
-                    if latest is not None and latest >= iteration:
-                        continue
-                    store.begin_write(rank, iteration)
-                    store.commit_write(rank, iteration)
+            # Every healthy, valid storer writes all the shards it hosts
+            # (exactly its placement's owners), so one bulk write per
+            # store replaces a begin/commit pair per (owner, storer).
+            skip = set(kernel.cluster.down_ranks()).difference(assume_healthy)
+            for rank, store in self.stores.items():
+                if rank not in skip and store.valid:
+                    store.commit_all(iteration)
         if iteration > 0:
             kernel.committed_iteration = iteration
             kernel.trace.record(

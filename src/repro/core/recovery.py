@@ -22,6 +22,7 @@ must fall back to persistent storage for consistency).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -78,6 +79,21 @@ class UnrecoverableError(RuntimeError):
     """No complete checkpoint exists anywhere (not even persistent)."""
 
 
+@functools.lru_cache(maxsize=32)
+def uniform_retrievals(
+    num_machines: int, source: RetrievalSource
+) -> Tuple[ShardRetrieval, ...]:
+    """Every rank reading from ``source``, built once per (size, source).
+
+    :class:`ShardRetrieval` is frozen, so plans share these entries and
+    copy only the tuple; a plan allocates entries just for the ranks that
+    read elsewhere.
+    """
+    return tuple(
+        ShardRetrieval(rank=rank, source=source) for rank in range(num_machines)
+    )
+
+
 def plan_recovery(
     placement: Placement,
     stores: Dict[int, CPUCheckpointStore],
@@ -97,34 +113,27 @@ def plan_recovery(
         # Hardware intact everywhere: every machine reloads its own local
         # replica (Figure 6b).
         iterations = [stores[rank].latest_complete(rank) for rank in range(n)]
-        if all(it is not None for it in iterations):
-            rollback = min(iterations)
-            retrievals = [
-                ShardRetrieval(rank=rank, source=RetrievalSource.LOCAL_CPU)
-                for rank in range(n)
-            ]
-            return RecoveryPlan(
-                failure_type=failure_type,
-                failed_ranks=sorted(failed),
-                retrievals=retrievals,
-                rollback_iteration=rollback,
-                from_cpu_memory=True,
-            )
-        return _persistent_plan(placement, persistent, failure_type, failed)
+        if None in iterations:
+            return _persistent_plan(placement, persistent, failure_type, failed)
+        return RecoveryPlan(
+            failure_type=failure_type,
+            failed_ranks=sorted(failed),
+            retrievals=list(uniform_retrievals(n, RetrievalSource.LOCAL_CPU)),
+            rollback_iteration=min(iterations),
+            from_cpu_memory=True,
+        )
 
-    # Hardware failure: can every lost shard be served by a survivor?
-    retrievals: List[ShardRetrieval] = []
-    iterations: List[int] = []
-    for rank in range(n):
-        if rank not in failed:
-            own = stores[rank].latest_complete(rank)
-            if own is None:
-                return _persistent_plan(placement, persistent, failure_type, failed)
-            iterations.append(own)
-            retrievals.append(ShardRetrieval(rank=rank, source=RetrievalSource.LOCAL_CPU))
-            continue
-        # The lowest-ranked surviving peer with a complete copy, reading
-        # each candidate's store once.
+    # Hardware failure: every survivor reloads its own replica...
+    iterations = [
+        stores[rank].latest_complete(rank) for rank in range(n) if rank not in failed
+    ]
+    if None in iterations:
+        return _persistent_plan(placement, persistent, failure_type, failed)
+    # ...and every lost shard must be served by a survivor: the
+    # lowest-ranked surviving peer with a complete copy, reading each
+    # candidate's store once.
+    retrievals = list(uniform_retrievals(n, RetrievalSource.LOCAL_CPU))
+    for rank in sorted(failed):
         peer = latest = None
         for candidate in sorted(placement.storers_of(rank)):
             if candidate == rank or candidate in failed:
@@ -137,8 +146,8 @@ def plan_recovery(
             # Case 2: a whole placement group failed together.
             return _persistent_plan(placement, persistent, failure_type, failed)
         iterations.append(latest)
-        retrievals.append(
-            ShardRetrieval(rank=rank, source=RetrievalSource.REMOTE_CPU, peer=peer)
+        retrievals[rank] = ShardRetrieval(
+            rank=rank, source=RetrievalSource.REMOTE_CPU, peer=peer
         )
     return RecoveryPlan(
         failure_type=failure_type,
@@ -161,14 +170,12 @@ def _persistent_plan(
             "no complete checkpoint in persistent storage and CPU-memory "
             "replicas are unavailable"
         )
-    retrievals = [
-        ShardRetrieval(rank=rank, source=RetrievalSource.PERSISTENT)
-        for rank in range(placement.num_machines)
-    ]
     return RecoveryPlan(
         failure_type=failure_type,
         failed_ranks=sorted(failed),
-        retrievals=retrievals,
+        retrievals=list(
+            uniform_retrievals(placement.num_machines, RetrievalSource.PERSISTENT)
+        ),
         rollback_iteration=rollback,
         from_cpu_memory=False,
     )

@@ -11,6 +11,13 @@ Contents live in the machine's CPU memory and are destroyed by hardware
 failures (the store compares the machine's ``live_epoch``, its
 incarnation epoch while the hardware is alive, with the epoch it was
 created in).
+
+A fleet commit writes the same iteration into every slot a store hosts,
+so the store also keeps a *watermark*: ``floor`` means "every hosted slot
+holds at least this iteration".  :meth:`CPUCheckpointStore.commit_all`
+and :meth:`CPUCheckpointStore.reseed` raise it in O(1), reads take
+``max(slot, floor)``, and every per-slot operation first folds the floor
+into the slots, so the per-slot protocol and its checks are unchanged.
 """
 
 from __future__ import annotations
@@ -54,6 +61,10 @@ class CPUCheckpointStore:
         self._epoch = machine.epoch
         self._slots: Dict[int, ReplicaSlot] = {}
         self._obs = obs
+        #: every hosted slot holds at least this iteration (None: no floor).
+        self._floor: Optional[int] = None
+        #: hosted slots with a write in progress.
+        self._writing = 0
 
     def _update_hosted_gauge(self) -> None:
         if self._obs is None or not self._obs.enabled:
@@ -78,11 +89,27 @@ class CPUCheckpointStore:
                 "(hardware failed or machine replaced)"
             )
 
+    def _fold_floor(self) -> None:
+        """Write the watermark into the slots, before a per-slot operation."""
+        floor = self._floor
+        if floor is None:
+            return
+        for slot in self._slots.values():
+            if slot.completed_iteration is None or slot.completed_iteration < floor:
+                slot.completed_iteration = floor
+        self._floor = None
+
+    def _discard_write(self, slot: ReplicaSlot) -> None:
+        if slot.in_progress_iteration is not None:
+            slot.in_progress_iteration = None
+            self._writing -= 1
+
     # -- slot management ----------------------------------------------------------
 
     def host_shard(self, rank: int, nbytes: float) -> ReplicaSlot:
         """Reserve double-buffered space for ``rank``'s shard."""
         self._check_valid()
+        self._fold_floor()
         if rank in self._slots:
             raise ValueError(f"shard of rank {rank} already hosted on {self.machine}")
         if nbytes <= 0:
@@ -98,9 +125,11 @@ class CPUCheckpointStore:
     def drop_shard(self, rank: int) -> None:
         """Release the buffers for ``rank``'s shard."""
         self._check_valid()
+        self._fold_floor()
         slot = self._slots.pop(rank, None)
         if slot is None:
             raise KeyError(f"rank {rank} not hosted on {self.machine}")
+        self._discard_write(slot)
         self.machine.free_cpu_memory(slot.reserved_bytes)
         self._update_hosted_gauge()
 
@@ -108,6 +137,9 @@ class CPUCheckpointStore:
         return sorted(self._slots)
 
     def slot(self, rank: int) -> ReplicaSlot:
+        """``rank``'s slot with the floor folded in; a later bulk write or
+        reseed updates the floor, not this object, until the next fold."""
+        self._fold_floor()
         try:
             return self._slots[rank]
         except KeyError:
@@ -130,6 +162,7 @@ class CPUCheckpointStore:
                 f"{slot.completed_iteration}"
             )
         slot.in_progress_iteration = iteration
+        self._writing += 1
 
     def commit_write(self, rank: int, iteration: int) -> None:
         """Atomically promote the in-progress buffer to completed."""
@@ -142,21 +175,30 @@ class CPUCheckpointStore:
             )
         slot.completed_iteration = iteration
         slot.in_progress_iteration = None
+        self._writing -= 1
         if self._obs is not None and self._obs.enabled:
-            metrics = self._obs.metrics
-            metrics.counter(
-                "repro_cpu_ckpt_commits_total",
-                help="shard writes committed to CPU-memory stores",
-            ).inc()
-            metrics.counter(
-                "repro_cpu_ckpt_bytes_total",
-                help="bytes committed to CPU-memory checkpoint stores",
-            ).inc(slot.nbytes)
+            self._count_commits([slot.nbytes])
+
+    def _count_commits(self, sizes: List[float]) -> None:
+        """Record committed slots: one increment for the count (exact,
+        integer-valued), one per slot for the bytes (the float sum
+        accumulates in the same order as one commit at a time)."""
+        metrics = self._obs.metrics
+        metrics.counter(
+            "repro_cpu_ckpt_commits_total",
+            help="shard writes committed to CPU-memory stores",
+        ).inc(len(sizes))
+        bytes_total = metrics.counter(
+            "repro_cpu_ckpt_bytes_total",
+            help="bytes committed to CPU-memory checkpoint stores",
+        )
+        for nbytes in sizes:
+            bytes_total.inc(nbytes)
 
     def abort_write(self, rank: int) -> None:
         """Discard an in-progress write (e.g. sender died mid-transfer)."""
         self._check_valid()
-        self.slot(rank).in_progress_iteration = None
+        self._discard_write(self.slot(rank))
 
     def corrupt_shard(self, rank: int) -> None:
         """Silently lose both buffers of ``rank``'s shard (chaos hook).
@@ -171,18 +213,53 @@ class CPUCheckpointStore:
         """
         self._check_valid()
         slot = self.slot(rank)
+        self._discard_write(slot)
         slot.completed_iteration = None
-        slot.in_progress_iteration = None
 
     def reseed(self, iteration: int) -> None:
         """Post-recovery state: every in-progress write is discarded and
         every hosted shard holds at least ``iteration`` (a replacement
         received it; a survivor kept it or something newer)."""
         self._check_valid()
-        for slot in self._slots.values():
-            slot.in_progress_iteration = None
-            if slot.completed_iteration is None or slot.completed_iteration < iteration:
-                slot.completed_iteration = iteration
+        if self._writing:
+            for slot in self._slots.values():
+                slot.in_progress_iteration = None
+            self._writing = 0
+        if self._floor is None or self._floor < iteration:
+            self._floor = iteration
+
+    def commit_all(self, iteration: int) -> None:
+        """Write ``iteration`` into every hosted slot that holds an older
+        one (or none): the effect of ``begin_write`` + ``commit_write`` on
+        each such slot in rank order, in O(1) with observability off.
+
+        Raises exactly where that per-slot loop would (an invalid store
+        with hosted slots, or a write in progress on a slot the loop
+        would write), because in those cases it *is* that loop.
+        """
+        if self._writing or self.machine.live_epoch != self._epoch:
+            for rank in sorted(self._slots):
+                latest = self.latest_complete(rank)
+                if latest is not None and latest >= iteration:
+                    continue
+                self.begin_write(rank, iteration)
+                self.commit_write(rank, iteration)
+            return
+        floor = self._floor
+        if floor is not None and floor >= iteration:
+            return
+        if self._obs is not None and self._obs.enabled:
+            # The floor is below ``iteration`` here, so a slot is written
+            # exactly when its own value is.
+            written = [
+                slot.nbytes
+                for _rank, slot in sorted(self._slots.items())
+                if slot.completed_iteration is None
+                or slot.completed_iteration < iteration
+            ]
+            if written:
+                self._count_commits(written)
+        self._floor = iteration
 
     # -- reads ------------------------------------------------------------------------
 
@@ -195,7 +272,12 @@ class CPUCheckpointStore:
         if self.machine.live_epoch != self._epoch:
             return None
         slot = self._slots.get(rank)
-        return slot.completed_iteration if slot else None
+        if slot is None:
+            return None
+        completed, floor = slot.completed_iteration, self._floor
+        if floor is None or (completed is not None and completed > floor):
+            return completed
+        return floor
 
     def __repr__(self) -> str:
         state = "valid" if self.valid else "INVALID"

@@ -1,5 +1,7 @@
 """Machine/cluster catalog: ClusterSpec, TopologySpec, and the presets."""
 
+import pickle
+
 import pytest
 
 from repro.cluster import (
@@ -99,6 +101,22 @@ class TestClusterSpec:
         for name in CLUSTER_CATALOG:
             spec = get_cluster_spec(name)
             assert ClusterSpec.from_dict(spec.to_dict()) == spec
+
+    def test_cached_size_is_invisible(self):
+        # num_machines is computed once; equality, hash, to_dict and the
+        # pickled bytes must not depend on whether it has been read.
+        for name in CLUSTER_CATALOG:
+            fresh = ClusterSpec.from_dict(get_cluster_spec(name).to_dict())
+            unread = ClusterSpec.from_dict(fresh.to_dict())
+            before = pickle.dumps(fresh)
+            assert fresh.num_machines == sum(count for _, count in fresh.machines)
+            assert fresh == unread and hash(fresh) == hash(unread)
+            assert fresh.to_dict() == unread.to_dict()
+            assert pickle.dumps(fresh) == before == pickle.dumps(unread)
+            restored = pickle.loads(before)
+            assert "num_machines" not in vars(restored)  # the cache is not pickled
+            assert restored == fresh
+            assert restored.num_machines == fresh.num_machines
 
     def test_unknown_name_lists_options(self):
         with pytest.raises(KeyError, match="a3mega-rack4x4"):
