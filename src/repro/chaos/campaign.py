@@ -160,10 +160,12 @@ CAMPAIGN_PRESETS: Dict[str, Dict[str, Any]] = {
     },
     # Fleet scale: the ci-preset failure mix scaled onto the 1024-machine
     # a3mega-fleet1k catalog spec (64 racks of 16, topology-aware
-    # placement, bucketed timeline).  No base grid — every cell is
-    # off-grid because each carries the full fleet shape; failure and
-    # degradation rates scale with the machine count (64x the 16-machine
-    # grids).  The nightly fleet-scale CI job runs this with --sanitize.
+    # placement).  No base grid — every cell is off-grid because each
+    # carries the full fleet shape; failure and degradation rates scale
+    # with the machine count (64x the 16-machine grids).  Each cell's
+    # "timeline": "bucket" selects nothing; it stays only so the cells'
+    # scenario hashes are unchanged.  The nightly fleet-scale CI job runs
+    # this with --sanitize.
     "fleet": {
         "policies": (),
         "models": (),

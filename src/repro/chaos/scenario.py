@@ -105,11 +105,11 @@ class ChaosScenario:
     #: them from the chaos-domains stream (the legacy behavior);
     #: "topology" downs *real racks* of the named ``cluster`` spec.
     domain_source: str = "random"
-    #: simulator event-queue implementation ("" = binary heap;
-    #: "bucket"/"calendar" = the calendar queue, which fleet-scale cells
-    #: use).  Results are bit-identical either way — the queue preserves
-    #: the engine's total order — but the choice is part of the spec, so
-    #: it participates in the hash (omitted at the default).
+    #: selects nothing: the simulator has one event queue.  The ``fleet``
+    #: preset's cells carry ``"bucket"``, so the field is validated and
+    #: kept in the canonical form and the result row (omitted when empty)
+    #: only so that their scenario hashes, sweep-cache keys and pinned
+    #: digests stay stable.
     timeline: str = ""
 
     def __post_init__(self):
@@ -304,7 +304,6 @@ class ChaosScenario:
             num_standby=self.num_standby,
             sanitize=self.sanitize,
             cluster_spec=cluster_spec,
-            timeline=self.timeline or None,
         )
         auditor = RecoveryInvariantAuditor(system)
         streams = RandomStreams(seed)

@@ -22,7 +22,6 @@ from repro.network.topology import (
     SuperblockTopology,
     Topology,
 )
-from repro.network.broadcast import broadcast_done, broadcast_makespan, broadcast_shard
 
 __all__ = [
     "CommCostModel",
@@ -36,7 +35,4 @@ __all__ = [
     "SuperblockTopology",
     "Topology",
     "TransferAborted",
-    "broadcast_done",
-    "broadcast_makespan",
-    "broadcast_shard",
 ]

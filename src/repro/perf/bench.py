@@ -7,9 +7,8 @@ performance trajectory behind:
 - ``churn``     — raw fabric+engine throughput (events/sec) on a synthetic
   flow-churn workload: many machines, staggered contending transfers.
   This is the microbenchmark the incremental-settle work is gated on.
-- ``churn_1k``  — the same churn shape at fleet scale: 1024 machines on
-  the bucketed timeline, the configuration the nightly 1k-machine chaos
-  campaign leans on.
+- ``churn_1k``  — the same churn shape at fleet scale: 1024 machines,
+  the fabric width the nightly 1k-machine chaos campaign leans on.
 - ``fabric_multihop`` — the same churn shape over a rack topology with
   oversubscribed shared uplinks, so every cross-rack flow carries a
   4-link path and uplink fair shares churn with it.
@@ -110,18 +109,15 @@ def build_churn_workload(
     num_machines: int,
     num_flows: int,
     seed: int = 0,
-    timeline: Optional[str] = None,
 ) -> Simulator:
     """A fabric-churn simulation, primed but not yet run.
 
     ``num_flows`` transfers between random machine pairs start 10 ms
     apart, so hundreds pile up and contend; every start/finish forces a
     settle + recompute, which is exactly the hot path being measured.
-    ``timeline`` selects the simulator's event-queue implementation
-    (``"bucket"`` for the calendar queue; ``None`` for the binary heap).
     """
     rng = RandomStreams(seed).stream("churn")
-    sim = Simulator(timeline=timeline)
+    sim = Simulator()
     fabric = Fabric(sim)
     for index in range(num_machines):
         fabric.attach(f"m{index}", 100.0)
@@ -143,10 +139,9 @@ def churn_events_per_sec(
     num_machines: int,
     num_flows: int,
     seed: int = 0,
-    timeline: Optional[str] = None,
 ) -> float:
     """Run one churn workload; return DES events fired per wall second."""
-    sim = build_churn_workload(num_machines, num_flows, seed, timeline=timeline)
+    sim = build_churn_workload(num_machines, num_flows, seed)
     started = time.perf_counter()
     sim.run()
     wall = time.perf_counter() - started
@@ -174,15 +169,14 @@ def bench_churn(
 def bench_churn_1k(
     num_machines: int = 1024, num_flows: int = 4000, repeats: int = 1
 ) -> BenchResult:
-    """Fleet-scale churn: 1024 NICs on the bucketed (calendar) timeline.
+    """Fleet-scale churn: 1024 NICs.
 
     The workload the nightly 1k-machine chaos campaign stresses — wide
     fabric, hundreds of concurrent flows — so the array-backed settle and
-    the calendar queue are both on the measured path.
+    a deep event queue are both on the measured path.
     """
     best = max(
-        churn_events_per_sec(num_machines, num_flows, timeline="bucket")
-        for _ in range(max(1, repeats))
+        churn_events_per_sec(num_machines, num_flows) for _ in range(max(1, repeats))
     )
     return BenchResult(
         name="churn_1k",
@@ -191,7 +185,6 @@ def bench_churn_1k(
         params={
             "num_machines": num_machines,
             "num_flows": num_flows,
-            "timeline": "bucket",
             "repeats": repeats,
         },
     )

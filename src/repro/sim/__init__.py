@@ -34,30 +34,25 @@ from repro.sim.events import (
     Process,
     Timeout,
 )
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.rng import RandomStreams
 from repro.sim.sanitize import DeterminismViolation, determinism_guard
-from repro.sim.timeline import BucketTimeline, make_timeline
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "BucketTimeline",
     "Callback",
     "DeterminismViolation",
     "Event",
     "EventAlreadyFired",
     "Interrupted",
-    "PriorityResource",
     "Process",
     "RandomStreams",
     "Resource",
     "Simulator",
     "SimulationError",
-    "Store",
     "StopSimulation",
     "Timeout",
     "determinism_guard",
     "events_tally",
-    "make_timeline",
 ]

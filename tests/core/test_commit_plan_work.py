@@ -90,7 +90,6 @@ def test_fleet_commits_and_plans_do_no_per_shard_work(monkeypatch):
         policy,
         num_standby=16,
         cluster_spec=spec,
-        timeline="bucket",
     )
     rack = list(spec.fault_domains()[5])
     TraceFailureInjector(

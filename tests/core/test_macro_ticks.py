@@ -50,7 +50,7 @@ DEGRADATIONS = {
 }
 
 
-def run_once(name, seed, *, macro_ticks, degradations=(), timeline=None):
+def run_once(name, seed, *, macro_ticks, degradations=()):
     """One failure/recovery run; returns (system, result)."""
     policy = create_policy(name, use_agents=False)
     system = SimulatedTrainingSystem(
@@ -61,7 +61,6 @@ def run_once(name, seed, *, macro_ticks, degradations=(), timeline=None):
         seed=seed,
         num_standby=2,
         macro_ticks=macro_ticks,
-        timeline=timeline,
     )
     rng = RandomStreams(seed)
     PoissonFailureInjector(
@@ -109,13 +108,6 @@ def test_macro_ticks_bit_exact_under_degradations(name, mix):
         *run_once(name, 0, macro_ticks=False, degradations=degradations)
     )
     assert fast == slow
-
-
-@pytest.mark.parametrize("name", POLICIES)
-def test_bucket_timeline_bit_exact_on_full_system(name):
-    heap = fingerprint(*run_once(name, 0, macro_ticks=True))
-    bucket = fingerprint(*run_once(name, 0, macro_ticks=True, timeline="bucket"))
-    assert heap == bucket
 
 
 def test_events_accounting_documented_consistent_under_coalescing():

@@ -65,7 +65,6 @@ def test_rack_failure_recovery_scans_replica_sets_once(monkeypatch, counting_set
         policy,
         num_standby=16,
         cluster_spec=spec,
-        timeline="bucket",
     )
     rack = list(spec.fault_domains()[5])
     TraceFailureInjector(

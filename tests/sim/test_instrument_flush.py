@@ -4,7 +4,7 @@
 ``repro_sim_queue_depth`` up to date once, on its way out.
 :class:`PerEventSimulator` keeps the loop that updated both after every
 pop.  Driven through the same random schedule (``run(until)`` chunks,
-``StopSimulation`` exits, empty runs, both timelines), the two must read
+``StopSimulation`` exits, empty runs), the two must read
 the same ``value`` and ``last_updated`` after every ``run()`` return.
 """
 
@@ -28,34 +28,21 @@ class PerEventSimulator(Simulator):
     def run(self, until: Optional[float] = None) -> Any:
         if until is not None and until < self.now:
             raise SimulationError(f"run(until={until}) is in the past (now={self.now})")
-        timeline = self._timeline
+        queue = self._queue
         evt_counter = self._evt_counter
         depth_gauge = self._depth_gauge
         try:
             with self._sanitize_factory():
-                if timeline is None:
-                    queue = self._queue
-                    while queue:
-                        if until is not None and queue[0][0] > until:
-                            break
-                        time, _lane, _seq, event = heapq.heappop(queue)
-                        self.now = time
-                        self.events_processed += 1
-                        if evt_counter is not None and depth_gauge is not None:
-                            evt_counter.inc()
-                            depth_gauge.set(len(queue))
-                        event._run_callbacks()
-                else:
-                    while timeline:
-                        if until is not None and timeline.peek_time() > until:
-                            break
-                        time, _lane, _seq, event = timeline.pop()
-                        self.now = time
-                        self.events_processed += 1
-                        if evt_counter is not None and depth_gauge is not None:
-                            evt_counter.inc()
-                            depth_gauge.set(len(timeline))
-                        event._run_callbacks()
+                while queue:
+                    if until is not None and queue[0][0] > until:
+                        break
+                    time, _lane, _seq, event = heapq.heappop(queue)
+                    self.now = time
+                    self.events_processed += 1
+                    if evt_counter is not None and depth_gauge is not None:
+                        evt_counter.inc()
+                        depth_gauge.set(len(queue))
+                    event._run_callbacks()
         except StopSimulation as stop:
             return stop.value
         if until is not None:
@@ -72,9 +59,9 @@ chunks = st.lists(
 )
 
 
-def build(sim_type: type, timeline: Optional[str], plan, ticks: int):
+def build(sim_type: type, plan, ticks: int):
     obs = Observability()
-    sim = sim_type(obs=obs, timeline=timeline)
+    sim = sim_type(obs=obs)
     obs.bind_clock(lambda: sim.now)
 
     def fire(index: int, depth: int, children: int, stop: bool):
@@ -112,8 +99,8 @@ def readings(sim: Simulator, obs: Observability, returned: Any) -> tuple:
     )
 
 
-def drive(sim_type: type, timeline: Optional[str], plan, ticks: int, steps) -> List[tuple]:
-    sim, obs = build(sim_type, timeline, plan, ticks)
+def drive(sim_type: type, plan, ticks: int, steps) -> List[tuple]:
+    sim, obs = build(sim_type, plan, ticks)
     seen = [readings(sim, obs, None)]
     for step in steps:
         returned = sim.run() if step is None else sim.run(until=sim.now + step)
@@ -124,16 +111,11 @@ def drive(sim_type: type, timeline: Optional[str], plan, ticks: int, steps) -> L
     return seen
 
 
-@given(
-    timeline=st.sampled_from([None, "bucket"]),
-    plan=spawns,
-    ticks=st.integers(0, 6),
-    steps=chunks,
-)
+@given(plan=spawns, ticks=st.integers(0, 6), steps=chunks)
 @settings(max_examples=150, deadline=None)
-def test_once_per_run_update_matches_per_event_loop(timeline, plan, ticks, steps):
-    fast = drive(Simulator, timeline, plan, ticks, steps)
-    slow = drive(PerEventSimulator, timeline, plan, ticks, steps)
+def test_once_per_run_update_matches_per_event_loop(plan, ticks, steps):
+    fast = drive(Simulator, plan, ticks, steps)
+    slow = drive(PerEventSimulator, plan, ticks, steps)
     assert fast == slow
 
 
