@@ -160,8 +160,17 @@ class RecoveryInvariantAuditor(KernelListener):
     ) -> None:
         self.audited_plans += 1
         self._last_plan = plan
+        kernel = self.system
+        stores = getattr(kernel.policy, "stores", None)
+        # One read of every rank's own replica, straight from the store
+        # contents; I1, I3 and I4's local reads all use it.
+        own = (
+            None
+            if stores is None
+            else [stores[rank].latest_complete(rank) for rank in range(kernel.cluster.size)]
+        )
         expected_cpu, expected_rollback = self._expected_tier(
-            failure_type, failed_ranks
+            failure_type, failed_ranks, own
         )
         if plan.from_cpu_memory != expected_cpu:
             self._report(
@@ -176,51 +185,53 @@ class RecoveryInvariantAuditor(KernelListener):
                 f"plan rolls back to {plan.rollback_iteration}, but the latest "
                 f"completely replicated step is {expected_rollback}",
             )
-        self._audit_retrievals(plan)
+        self._audit_retrievals(plan, own)
 
     def _expected_tier(
-        self, failure_type: FailureType, failed_ranks: List[int]
+        self,
+        failure_type: FailureType,
+        failed_ranks: List[int],
+        own: Optional[List[Optional[int]]],
     ) -> Tuple[bool, Optional[int]]:
-        """Independently re-derive (from_cpu_memory, rollback) per Section 6."""
+        """Independently re-derive (from_cpu_memory, rollback) per Section 6
+        from ``own`` (each rank's own replica, by rank) and the peers'
+        stores."""
         kernel = self.system
         policy = kernel.policy
         n = kernel.cluster.size
         persistent_latest = kernel.persistent.latest_complete()
         placement = getattr(policy, "placement", None)
         stores = getattr(policy, "stores", None)
-        if placement is None or stores is None:
+        if placement is None or own is None:
             # Remote-storage baseline: always the non-CPU fallback tier.
             rollback = self._fallback_rollback(persistent_latest)
             return False, rollback if rollback is not None else 0
 
         if failure_type is FailureType.SOFTWARE:
-            own = [stores[rank].latest_complete(rank) for rank in range(n)]
-            if all(iteration is not None for iteration in own):
+            if None not in own:
                 return True, min(own)
             return False, self._fallback_rollback(persistent_latest)
 
         failed = set(failed_ranks)
-        iterations: List[int] = []
-        for rank in range(n):
-            if rank not in failed:
-                own = stores[rank].latest_complete(rank)
-                if own is None:
-                    # A surviving rank must use its local replica; if that
-                    # is gone (corruption), Section 6 falls back.
-                    return False, self._fallback_rollback(persistent_latest)
-                iterations.append(own)
+        # A surviving rank must use its local replica; if that is gone
+        # (corruption), Section 6 falls back.
+        iterations = [latest for rank, latest in enumerate(own) if rank not in failed]
+        if None in iterations:
+            return False, self._fallback_rollback(persistent_latest)
+        for rank in sorted(failed):
+            if not 0 <= rank < n:
                 continue
             # Failed rank: its shard must come from the lowest-ranked
             # surviving peer that holds a complete copy (Section 6).
-            held = [
-                stores[peer].latest_complete(rank)
-                for peer in sorted(placement.storers_of(rank))
-                if peer != rank and peer not in failed
-            ]
-            complete = [latest for latest in held if latest is not None]
-            if not complete:
+            for peer in sorted(placement.storers_of(rank)):
+                if peer == rank or peer in failed:
+                    continue
+                latest = stores[peer].latest_complete(rank)
+                if latest is not None:
+                    iterations.append(latest)
+                    break
+            else:
                 return False, self._fallback_rollback(persistent_latest)
-            iterations.append(complete[0])
         # Store-level feasibility must imply placement-level
         # recoverability (the predicate core/probability.py computes the
         # odds of); flag the inconsistency if not.
@@ -250,23 +261,35 @@ class RecoveryInvariantAuditor(KernelListener):
                 return ssd_latest
         return persistent_latest
 
-    def _audit_retrievals(self, plan: RecoveryPlan) -> None:
+    def _audit_retrievals(
+        self, plan: RecoveryPlan, own: Optional[List[Optional[int]]]
+    ) -> None:
         kernel = self.system
+        cluster = kernel.cluster
         stores = getattr(kernel.policy, "stores", None)
         ssd = getattr(kernel.policy, "ssd", None)
         # Tier-wide reads, once per plan rather than once per rank.
         persistent_latest = kernel.persistent.latest_complete()
         ssd_latest = ssd.latest_complete() if ssd is not None else None
+        # Only a down machine can be failed or being replaced.
+        down = set(cluster.down_ranks())
         failed = set(plan.failed_ranks)
         covered = sorted(retrieval.rank for retrieval in plan.retrievals)
-        if covered != list(range(kernel.cluster.size)):
+        if covered != list(range(cluster.size)):
             self._report(
                 "retrieval-sources",
                 f"plan does not cover every rank exactly once: {covered}",
             )
+        # Enum members bound once: a class attribute read per entry would
+        # cost more than the checks themselves at fleet scale.
+        persistent, ssd_tier, local = (
+            RetrievalSource.PERSISTENT,
+            RetrievalSource.SSD,
+            RetrievalSource.LOCAL_CPU,
+        )
         for retrieval in plan.retrievals:
             source = retrieval.source
-            if source is RetrievalSource.PERSISTENT:
+            if source is persistent:
                 if persistent_latest is None:
                     self._report(
                         "retrieval-sources",
@@ -274,7 +297,7 @@ class RecoveryInvariantAuditor(KernelListener):
                         "complete checkpoint exists there",
                     )
                 continue
-            if source is RetrievalSource.SSD:
+            if source is ssd_tier:
                 if ssd is None:
                     self._report(
                         "retrieval-sources",
@@ -295,12 +318,12 @@ class RecoveryInvariantAuditor(KernelListener):
                     "policy has no CPU-memory stores",
                 )
                 continue
-            if source is RetrievalSource.LOCAL_CPU:
-                reader, holder = retrieval.rank, retrieval.rank
+            reader = retrieval.rank
+            if source is local:
+                holder = reader
             else:
-                holder = retrieval.peer if retrieval.peer is not None else -1
-                reader = retrieval.rank
-                if retrieval.peer is None:
+                holder = retrieval.peer
+                if holder is None:
                     self._report(
                         "retrieval-sources",
                         f"rank {reader} plans a remote-CPU read with no peer",
@@ -312,17 +335,22 @@ class RecoveryInvariantAuditor(KernelListener):
                         f"rank {reader} reads rank {holder}, which is in the "
                         f"failed set {sorted(failed)}",
                     )
-            machine = kernel.cluster.machine(holder)
-            if machine.state in (MachineState.FAILED, MachineState.REPLACING):
+            if holder in down:
+                state = cluster.machine(holder).state
+                if state in (MachineState.FAILED, MachineState.REPLACING):
+                    self._report(
+                        "retrieval-sources",
+                        f"rank {reader} reads CPU memory of rank {holder}, whose "
+                        f"machine is {state.value}",
+                    )
+            if holder == reader and 0 <= holder < len(own):
+                held = own[holder]
+            else:
+                held = stores[holder].latest_complete(reader)
+            if held is None:
                 self._report(
                     "retrieval-sources",
-                    f"rank {reader} reads CPU memory of rank {holder}, whose "
-                    f"machine is {machine.state.value}",
-                )
-            if stores[holder].latest_complete(retrieval.rank) is None:
-                self._report(
-                    "retrieval-sources",
-                    f"rank {reader} reads rank {retrieval.rank}'s shard from "
+                    f"rank {reader} reads rank {reader}'s shard from "
                     f"rank {holder}, whose store has no complete copy",
                 )
 
@@ -414,11 +442,7 @@ class RecoveryInvariantAuditor(KernelListener):
                 f"cluster size is {kernel.cluster.size}, expected "
                 f"{self._initial_size}",
             )
-        unhealthy = [
-            machine.rank
-            for machine in kernel.cluster.machines()
-            if not machine.is_healthy
-        ]
+        unhealthy = kernel.cluster.down_ranks()
         if not unhealthy:
             return
         explained = set()

@@ -82,7 +82,7 @@ class Machine:
     on_transition:
         Called with the machine after every state transition (the owning
         :class:`~repro.cluster.cluster.Cluster` keeps its down-rank index
-        with it).
+        with it).  :meth:`add_transition_hook` adds more such callbacks.
     """
 
     def __init__(
@@ -100,7 +100,9 @@ class Machine:
         #: Incremented on every incarnation change; lets stale async events
         #: (e.g. a transfer completing after the machine died) detect staleness.
         self.epoch = 0
-        self._on_transition = on_transition
+        self._transition_hooks: List[Callable[["Machine"], None]] = (
+            [on_transition] if on_transition is not None else []
+        )
         self._state = MachineState.HEALTHY
         self._healthy = True
         self._hardware_alive = True
@@ -128,8 +130,12 @@ class Machine:
         self._healthy = state is MachineState.HEALTHY
         self._hardware_alive = self._healthy or state is MachineState.PROCESS_DOWN
         self.live_epoch = self.epoch if self._hardware_alive else None
-        if self._on_transition is not None:
-            self._on_transition(self)
+        for hook in self._transition_hooks:
+            hook(self)
+
+    def add_transition_hook(self, hook: Callable[["Machine"], None]) -> None:
+        """Call ``hook`` with the machine after every later transition."""
+        self._transition_hooks.append(hook)
 
     @property
     def is_healthy(self) -> bool:

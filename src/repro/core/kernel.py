@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import abc
 import math
+from itertools import accumulate, islice, repeat
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
@@ -84,6 +85,14 @@ class SystemResult:
 #: hard cap on iterations coalesced into one macro window, so boundary
 #: lists stay small even for policies that allow unbounded batching.
 _MACRO_WINDOW_CAP = 4096
+
+
+def window_boundaries(t0: float, step: float, count: int) -> List[float]:
+    """Completion times of ``count`` iterations of length ``step`` from
+    ``t0``, by repeated addition left to right: the bit-identical floats
+    a chain of per-iteration timeouts produces (``t0 + k * step`` is not,
+    by float non-associativity)."""
+    return list(islice(accumulate(repeat(step, count), initial=t0), 1, None))
 
 
 class _MacroWindow:
@@ -640,18 +649,11 @@ class SimulatedTrainingSystem:
             abort = self._training_abort
             if count > 1:
                 # Macro tick: advance `count` iterations as one event.
-                # Boundary times are built by repeated addition so they
-                # are bit-identical to the per-iteration timeout chain
-                # (t0 + k*step is NOT, by float non-associativity).
-                step = self.iteration_time * self._iteration_scale
-                t = self.sim.now
-                boundaries = []
-                for _ in range(count):
-                    t = t + step
-                    boundaries.append(t)
                 window = _MacroWindow(
                     self.current_iteration,
-                    boundaries,
+                    window_boundaries(
+                        self.sim.now, self.iteration_time * self._iteration_scale, count
+                    ),
                     self.sim.event(name="macro-window"),
                 )
                 self._macro_window = window

@@ -27,7 +27,7 @@ from repro.cluster.machine import MachineState
 from repro.failures.types import FailureEvent, FailureType
 from repro.kvstore import KVStore
 from repro.network.fabric import Fabric, TransferAborted
-from repro.storage.cpu_memory import CPUCheckpointStore
+from repro.storage.cpu_memory import CPUCheckpointStore, CPUStoreFleet
 from repro.trace import TraceKind
 from repro.units import HOUR, gbps
 
@@ -86,7 +86,7 @@ class GeminiPolicy(CheckpointPolicy):
         self.config = config or GeminiConfig()
         self._placement_arg = placement
         self.placement: Optional[Placement] = placement
-        self.stores: Dict[int, CPUCheckpointStore] = {}
+        self.stores = CPUStoreFleet()
         self.worker_agents: Dict[int, WorkerAgent] = {}
         self.root_agents: Dict[int, RootAgent] = {}
 
@@ -120,11 +120,11 @@ class GeminiPolicy(CheckpointPolicy):
 
         # Hierarchical CPU-memory stores, populated per the placement.
         shard = kernel.spec.checkpoint_bytes_per_machine
+        self.stores = CPUStoreFleet(obs=kernel.obs)
         for machine in kernel.cluster:
-            store = CPUCheckpointStore(machine, obs=kernel.obs)
+            store = CPUCheckpointStore(machine, obs=kernel.obs, fleet=self.stores)
             for owner in self.placement.hosted_by(machine.rank):
                 store.host_shard(owner, shard)
-            self.stores[machine.rank] = store
 
         # Agents (or the lightweight fixed-delay detection stand-in).
         if self.config.use_agents:
@@ -227,12 +227,9 @@ class GeminiPolicy(CheckpointPolicy):
         now = kernel.sim.now if at is None else at
         if write_stores:
             # Every healthy, valid storer writes all the shards it hosts
-            # (exactly its placement's owners), so one bulk write per
-            # store replaces a begin/commit pair per (owner, storer).
-            skip = set(kernel.cluster.down_ranks()).difference(assume_healthy)
-            for rank, store in self.stores.items():
-                if rank not in skip and store.valid:
-                    store.commit_all(iteration)
+            # (exactly its placement's owners): the fleet raises its
+            # shared floor and moves only the stores that lag it.
+            self.stores.commit_all(iteration, assume_healthy)
         if iteration > 0:
             kernel.committed_iteration = iteration
             kernel.trace.record(
@@ -375,18 +372,20 @@ class GeminiPolicy(CheckpointPolicy):
                         machine.instance_type.network_bandwidth,
                         position=machine.position,
                     )
-                    store = CPUCheckpointStore(machine, obs=kernel.obs)
+                    store = CPUCheckpointStore(
+                        machine, obs=kernel.obs, fleet=self.stores
+                    )
                     for owner in self.placement.hosted_by(rank):
                         store.host_shard(
                             owner, kernel.spec.checkpoint_bytes_per_machine
                         )
-                    self.stores[rank] = store
 
             # Phase 2: plan against the post-replacement store states.
             plan = self.plan_recovery(failure_type, sorted(failed_hw + failed_sw))
             record.rollback_iteration = plan.rollback_iteration
             record.from_cpu_memory = plan.from_cpu_memory
-            sources = {r.source for r in plan.retrievals}
+            local = RetrievalSource.LOCAL_CPU
+            sources = [r.source for r in plan.retrievals if r.source is not local]
             # Slowest tier in the plan names the recovery (priority order;
             # SSD never appears for GEMINI itself, only tiered subclasses).
             for tier in (
@@ -398,7 +397,7 @@ class GeminiPolicy(CheckpointPolicy):
                     record.source = tier
                     break
             else:
-                record.source = RetrievalSource.LOCAL_CPU
+                record.source = local
 
             # Phase 3: alive agents serialize their CPU-memory replicas so
             # the restarted processes can torch.load() them.
@@ -473,8 +472,9 @@ class GeminiPolicy(CheckpointPolicy):
         shard = kernel.spec.checkpoint_bytes_per_machine
         flows = []
         replaced = set()
+        remote = RetrievalSource.REMOTE_CPU  # one enum lookup, not one per rank
         for retrieval in plan.retrievals:
-            if retrieval.source is not RetrievalSource.REMOTE_CPU:
+            if retrieval.source is not remote:
                 continue
             src = kernel.cluster.machine(retrieval.peer).machine_id
             dst = kernel.cluster.machine(retrieval.rank).machine_id
@@ -523,9 +523,7 @@ class GeminiPolicy(CheckpointPolicy):
         rollback = plan.rollback_iteration
         if rollback is None:
             return
-        for store in self.stores.values():
-            if store.valid:
-                store.reseed(rollback)
+        self.stores.reseed(rollback)
         # Respawn agents for every rank whose worker lease is gone.
         if not self.config.use_agents:
             return

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.placement import Placement
 from repro.failures.types import FailureType
-from repro.storage.cpu_memory import CPUCheckpointStore
+from repro.storage.cpu_memory import CPUStoreFleet
 from repro.storage.persistent import PersistentStore
 from repro.storage.serialization import SerializationModel
 from repro.training.states import ShardingSpec
@@ -96,15 +96,18 @@ def uniform_retrievals(
 
 def plan_recovery(
     placement: Placement,
-    stores: Dict[int, CPUCheckpointStore],
+    stores: CPUStoreFleet,
     persistent: PersistentStore,
     failure_type: FailureType,
     failed_ranks: List[int],
 ) -> RecoveryPlan:
     """Decide every rank's retrieval source and the rollback iteration.
 
-    ``stores`` maps rank -> that machine's CPU checkpoint store (stores of
-    hardware-failed machines are invalid and report no checkpoints).
+    ``stores`` is the cluster's fleet of CPU checkpoint stores by rank
+    (stores of hardware-failed machines are invalid and report no
+    checkpoints).  The survivors' own replicas are read off the fleet's
+    shared floor and its lagging stores, so a plan costs O(failed +
+    lagging ranks) store reads, not one per rank.
     """
     n = placement.num_machines
     failed = set(failed_ranks)
@@ -112,22 +115,22 @@ def plan_recovery(
     if failure_type is FailureType.SOFTWARE:
         # Hardware intact everywhere: every machine reloads its own local
         # replica (Figure 6b).
-        iterations = [stores[rank].latest_complete(rank) for rank in range(n)]
-        if None in iterations:
+        rollback = stores.lowest_own()
+        if rollback is None:
             return _persistent_plan(placement, persistent, failure_type, failed)
         return RecoveryPlan(
             failure_type=failure_type,
             failed_ranks=sorted(failed),
             retrievals=list(uniform_retrievals(n, RetrievalSource.LOCAL_CPU)),
-            rollback_iteration=min(iterations),
+            rollback_iteration=rollback,
             from_cpu_memory=True,
         )
 
     # Hardware failure: every survivor reloads its own replica...
-    iterations = [
-        stores[rank].latest_complete(rank) for rank in range(n) if rank not in failed
-    ]
-    if None in iterations:
+    rollback = stores.lowest_own(failed)
+    if rollback is None:
+        # A survivor's own replica is gone, or nobody survived (then no
+        # lost shard has a surviving peer either).
         return _persistent_plan(placement, persistent, failure_type, failed)
     # ...and every lost shard must be served by a survivor: the
     # lowest-ranked surviving peer with a complete copy, reading each
@@ -145,7 +148,8 @@ def plan_recovery(
         if peer is None:
             # Case 2: a whole placement group failed together.
             return _persistent_plan(placement, persistent, failure_type, failed)
-        iterations.append(latest)
+        if latest < rollback:
+            rollback = latest
         retrievals[rank] = ShardRetrieval(
             rank=rank, source=RetrievalSource.REMOTE_CPU, peer=peer
         )
@@ -153,7 +157,7 @@ def plan_recovery(
         failure_type=failure_type,
         failed_ranks=sorted(failed),
         retrievals=retrievals,
-        rollback_iteration=min(iterations),
+        rollback_iteration=rollback,
         from_cpu_memory=True,
     )
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Any, Callable, ContextManager, Generator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim.events import AllOf, AnyOf, Callback, Event, Process, Timeout
 from repro.sim.sanitize import determinism_guard
@@ -139,10 +139,6 @@ class Simulator:
         heapq.heappush(self._queue, (self.now + delay, lane, self._seq, event))
 
     # -- running ---------------------------------------------------------------
-
-    def _sanitize_context(self) -> ContextManager[None]:
-        """The determinism guard when sanitizing, else a no-op."""
-        return self._sanitize_factory()
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""

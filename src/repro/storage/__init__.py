@@ -12,7 +12,7 @@ Failure recovery fetches from the fastest tier that still has a complete,
 consistent checkpoint.
 """
 
-from repro.storage.cpu_memory import CPUCheckpointStore, ReplicaSlot
+from repro.storage.cpu_memory import CPUCheckpointStore, CPUStoreFleet, ReplicaSlot
 from repro.storage.persistent import PersistentStore
 from repro.storage.serialization import (
     SERIALIZATION_BYTES_PER_SEC,
@@ -22,6 +22,7 @@ from repro.storage.ssd import SSDStore
 
 __all__ = [
     "CPUCheckpointStore",
+    "CPUStoreFleet",
     "PersistentStore",
     "ReplicaSlot",
     "SERIALIZATION_BYTES_PER_SEC",

@@ -18,12 +18,18 @@ holds at least this iteration".  :meth:`CPUCheckpointStore.commit_all`
 and :meth:`CPUCheckpointStore.reseed` raise it in O(1), reads take
 ``max(slot, floor)``, and every per-slot operation first folds the floor
 into the slots, so the per-slot protocol and its checks are unchanged.
+
+The stores of one cluster go one step further and share a single
+watermark cell, their :class:`CPUStoreFleet`: a fleet commit or reseed
+raises the shared floor once and touches only the stores that have
+diverged from it (see the class for when a store diverges and rejoins),
+so its cost follows the failed and lagging ranks, not the cluster size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Collection, Dict, List, Optional
 
 from repro.cluster.machine import Machine
 
@@ -43,6 +49,122 @@ class ReplicaSlot:
         return 2 * self.nbytes
 
 
+class CPUStoreFleet(Dict[int, "CPUCheckpointStore"]):
+    """A cluster's CPU checkpoint stores by rank, sharing one watermark.
+
+    A store is *in step* while every slot it hosts holds exactly
+    :attr:`floor`: it is valid, its machine is healthy, it hosts its own
+    rank's shard, it has no write open and no slot above the floor.  Its
+    reads then answer ``floor`` and a fleet commit or reseed needs
+    nothing from it but the raised floor.  Every other member *lags*: it
+    keeps a private floor and is listed in ``_lagging``.  A store lags
+    from the moment it joins, and diverges again before any per-slot
+    operation, per-store :meth:`~CPUCheckpointStore.commit_all` or
+    :meth:`~CPUCheckpointStore.reseed`, and on any transition of its
+    machine out of ``HEALTHY`` (a hook on the machine, so stores of down
+    or failed machines always lag).  Each fleet commit and reseed moves
+    the lagging stores itself, then lets those that match the raised
+    floor rejoin.
+
+    Stores join by construction (``CPUCheckpointStore(machine,
+    fleet=...)``) under their machine's rank; a newer store for the same
+    rank takes the older one's place.  Iteration is in rank order of
+    first arrival, which is rank order for a fleet built rank by rank.
+    """
+
+    def __init__(self, obs=None):
+        super().__init__()
+        #: the iteration every in-step store holds (None before any commit).
+        self.floor: Optional[int] = None
+        #: rank -> member that lags the floor.
+        self._lagging: Dict[int, CPUCheckpointStore] = {}
+        self._obs = obs
+        #: one bound method shared by every member's machine.
+        self._hook = self._on_transition
+
+    def _admit(self, store: "CPUCheckpointStore") -> None:
+        rank = store.machine.rank
+        previous = self.get(rank)
+        if previous is not None:
+            previous._diverge()  # keeps its own state from here on
+        self[rank] = store
+        self._lagging[rank] = store
+        # The hook holds the fleet, not the store, so a replaced store and
+        # its dead machine form no reference cycle and are freed at once.
+        store.machine.add_transition_hook(self._hook)
+
+    def _on_transition(self, machine: Machine) -> None:
+        store = self.get(machine.rank)
+        if store is not None and store.machine is machine and not machine.is_healthy:
+            store._diverge()
+
+    def _raise_floor(self, iteration: int) -> None:
+        if self.floor is None or self.floor < iteration:
+            self.floor = iteration
+        for rank, store in list(self._lagging.items()):
+            if store._rejoins():
+                del self._lagging[rank]
+
+    def commit_all(self, iteration: int, assume_healthy: Collection[int] = ()) -> None:
+        """:meth:`CPUCheckpointStore.commit_all` on every valid store whose
+        machine is healthy or whose rank is in ``assume_healthy``.
+
+        In-step stores are all writable and need only the raised floor,
+        so with observability off this touches the lagging stores alone.
+        With it on, every written store still counts its slots, in rank
+        order, exactly as one bulk write per store would.  A store that
+        raises (a write open on a slot it must write) stops the commit
+        there, as the loop over stores would: lower ranks are written,
+        higher ones are not.
+        """
+        obs = self._obs
+        if obs is not None and obs.enabled:
+            candidates = sorted(self.items())
+        else:
+            candidates = sorted(self._lagging.items())
+        for rank, store in candidates:
+            if store._in_step or (
+                store.valid
+                and (store.machine.is_healthy or rank in assume_healthy)
+            ):
+                try:
+                    store._commit(iteration)
+                except BaseException:
+                    for later, member in self.items():
+                        if later > rank:
+                            member._diverge()
+                    self._raise_floor(iteration)
+                    raise
+        self._raise_floor(iteration)
+
+    def reseed(self, iteration: int) -> None:
+        """:meth:`CPUCheckpointStore.reseed` on every valid store."""
+        for store in list(self._lagging.values()):
+            if store.valid:
+                store._reseed(iteration)
+        self._raise_floor(iteration)
+
+    def lowest_own(self, excluded: Collection[int] = ()) -> Optional[int]:
+        """The oldest iteration that a member rank outside ``excluded`` can
+        reload from its own store, or None when one of them has none (or
+        no member is outside ``excluded``).  Reads the lagging stores
+        only: every in-step store answers the floor."""
+        in_step = len(self) - len(self._lagging)
+        in_step -= sum(
+            1 for rank in excluded if rank in self and rank not in self._lagging
+        )
+        lowest = self.floor if in_step else None
+        for rank, store in self._lagging.items():
+            if rank in excluded:
+                continue
+            own = store.latest_complete(rank)
+            if own is None:
+                return None
+            if lowest is None or own < lowest:
+                lowest = own
+        return lowest
+
+
 class CPUCheckpointStore:
     """Checkpoint shards held in one machine's CPU memory.
 
@@ -54,17 +176,27 @@ class CPUCheckpointStore:
     obs:
         Optional :class:`repro.obs.Observability`; commits count bytes and
         hosted-replica gauges per machine.
+    fleet:
+        The :class:`CPUStoreFleet` the store joins under its machine's
+        rank; a store built without one is the only member of its own.
     """
 
-    def __init__(self, machine: Machine, obs=None):
+    def __init__(
+        self, machine: Machine, obs=None, fleet: Optional[CPUStoreFleet] = None
+    ):
         self.machine = machine
         self._epoch = machine.epoch
         self._slots: Dict[int, ReplicaSlot] = {}
         self._obs = obs
-        #: every hosted slot holds at least this iteration (None: no floor).
+        #: every hosted slot holds at least this iteration (None: no floor);
+        #: read only while the store lags its fleet.
         self._floor: Optional[int] = None
         #: hosted slots with a write in progress.
         self._writing = 0
+        #: every hosted slot holds exactly the fleet's floor.
+        self._in_step = False
+        self.fleet = fleet if fleet is not None else CPUStoreFleet(obs)
+        self.fleet._admit(self)
 
     def _update_hosted_gauge(self) -> None:
         if self._obs is None or not self._obs.enabled:
@@ -89,8 +221,36 @@ class CPUCheckpointStore:
                 "(hardware failed or machine replaced)"
             )
 
+    # -- the shared watermark ------------------------------------------------------
+
+    def _diverge(self) -> None:
+        """Leave the fleet's floor for a private copy of it."""
+        if self._in_step:
+            self._in_step = False
+            self._floor = self.fleet.floor
+            self.fleet._lagging[self.machine.rank] = self
+
+    def _rejoins(self) -> bool:
+        """Step back onto the fleet's floor if nothing sets this store apart."""
+        floor = self.fleet.floor
+        if (
+            floor is None
+            or self._floor != floor
+            or self._writing
+            or not self.machine.is_healthy
+            or self.machine.live_epoch != self._epoch
+            or self.machine.rank not in self._slots
+        ):
+            return False
+        for slot in self._slots.values():
+            if slot.completed_iteration is not None and slot.completed_iteration > floor:
+                return False
+        self._in_step = True
+        return True
+
     def _fold_floor(self) -> None:
         """Write the watermark into the slots, before a per-slot operation."""
+        self._diverge()
         floor = self._floor
         if floor is None:
             return
@@ -221,6 +381,10 @@ class CPUCheckpointStore:
         every hosted shard holds at least ``iteration`` (a replacement
         received it; a survivor kept it or something newer)."""
         self._check_valid()
+        self._diverge()
+        self._reseed(iteration)
+
+    def _reseed(self, iteration: int) -> None:
         if self._writing:
             for slot in self._slots.values():
                 slot.in_progress_iteration = None
@@ -237,6 +401,18 @@ class CPUCheckpointStore:
         with hosted slots, or a write in progress on a slot the loop
         would write), because in those cases it *is* that loop.
         """
+        self._diverge()
+        self._commit(iteration)
+
+    def _commit(self, iteration: int) -> None:
+        if self._in_step:
+            # Every slot holds the fleet's floor, so a bulk write writes
+            # all of them or none; the fleet raises the floor itself.
+            if self._obs is not None and self._obs.enabled and self.fleet.floor < iteration:
+                written = [slot.nbytes for _rank, slot in sorted(self._slots.items())]
+                if written:
+                    self._count_commits(written)
+            return
         if self._writing or self.machine.live_epoch != self._epoch:
             for rank in sorted(self._slots):
                 latest = self.latest_complete(rank)
@@ -269,6 +445,8 @@ class CPUCheckpointStore:
         Returns None (rather than raising) when the store is invalid, since
         "nothing recoverable here" is the semantic a recovery planner wants.
         """
+        if self._in_step:  # valid: a failing machine takes its store out of step
+            return self.fleet.floor if rank in self._slots else None
         if self.machine.live_epoch != self._epoch:
             return None
         slot = self._slots.get(rank)

@@ -1,11 +1,14 @@
 """Host-independent work gate for fleet commits and recovery plans.
 
-At 1024 machines a GEMINI commit must cost one bulk write per writable
-store, not a ``begin_write``/``commit_write`` pair per (owner, storer),
-and a recovery plan must copy the shared uniform retrieval list instead
-of building a ``ShardRetrieval`` per rank.  The run below fails a whole
-rack (hardware) and then a few processes (software); the gate counts
-calls, so it reads no clock and cannot flake.
+At 1024 machines a GEMINI commit must not run a ``begin_write``/
+``commit_write`` pair per (owner, storer), and a recovery plan must copy
+the shared uniform retrieval list instead of building a
+``ShardRetrieval`` per rank.  Beyond that, every commit, reseed and plan
+must touch only the stores that lag the fleet's shared floor and the
+failed ranks' storers: at most ``c * (failed + lagging)`` store calls,
+never one per rank.  The run below fails a whole rack (hardware) and
+then a few processes (software); the gate counts calls, so it reads no
+clock and cannot flake.
 """
 
 import pytest
@@ -17,7 +20,7 @@ from repro.core.placement import Placement
 from repro.core.policy import GeminiConfig, GeminiPolicy
 from repro.core.recovery import RetrievalSource, ShardRetrieval, uniform_retrievals
 from repro.failures import FailureEvent, FailureType, TraceFailureInjector
-from repro.storage.cpu_memory import CPUCheckpointStore
+from repro.storage.cpu_memory import CPUCheckpointStore, CPUStoreFleet
 from repro.training import GPT2_100B
 from repro.units import HOUR
 
@@ -66,7 +69,43 @@ def test_fleet_commits_and_plans_do_no_per_shard_work(monkeypatch):
     _counting(monkeypatch, CPUCheckpointStore, "begin_write", counts, "begin_write")
     _counting(monkeypatch, CPUCheckpointStore, "commit_write", counts, "commit_write")
     _counting(monkeypatch, Placement, "storers_of", counts, "storers_of", in_commit)
-    _counting(monkeypatch, CPUCheckpointStore, "commit_all", counts, "commit_all", in_commit)
+    _counting(monkeypatch, CPUCheckpointStore, "_commit", counts, "bulk_writes", in_commit)
+
+    # Store calls per fleet operation, against the failed and lagging
+    # ranks when the operation starts.
+    touches = []
+    operation = []
+    for name in ("latest_complete", "_commit", "_reseed", "_rejoins"):
+        _counting(
+            monkeypatch,
+            CPUCheckpointStore,
+            name,
+            counts,
+            "touches",
+            lambda: bool(operation),
+        )
+
+    def measured(owner, name, failed_of):
+        original = getattr(owner, name)
+
+        def run(self, *args, **kwargs):
+            fleet = self if isinstance(self, CPUStoreFleet) else self.stores
+            before = counts.get("touches", 0)
+            lagging = len(fleet._lagging)
+            operation.append(name)
+            try:
+                return original(self, *args, **kwargs)
+            finally:
+                operation.pop()
+                touches.append(
+                    (name, counts.get("touches", 0) - before, failed_of(args) + lagging)
+                )
+
+        monkeypatch.setattr(owner, name, run)
+
+    measured(CPUStoreFleet, "commit_all", lambda args: 0)
+    measured(CPUStoreFleet, "reseed", lambda args: 0)
+    measured(GeminiPolicy, "plan_recovery", lambda args: len(args[1]))
 
     # Build the shared lists before counting constructions: they are made
     # once per (size, source), not per plan.
@@ -111,8 +150,20 @@ def test_fleet_commits_and_plans_do_no_per_shard_work(monkeypatch):
     assert counts.get("begin_write", 0) == 0
     assert counts.get("commit_write", 0) == 0
     assert counts.get("storers_of", 0) == 0
-    # One bulk write per writable store per writing commit, at most.
-    assert counts["commit_all"] <= counts["commits"] * n
+    # Per-store bulk writes only for stores that lag the shared floor.
+    assert counts["bulk_writes"] <= counts["commits"] * len(rack)
+    kinds = {name for name, _, _ in touches}
+    assert kinds == {"commit_all", "reseed", "plan_recovery"}
+    # Every commit, reseed and plan touches at most c * (failed +
+    # lagging) stores (c = replicas + 1: a lagging store is moved and
+    # checked for rejoining; a failed rank reads up to its storers).
+    c = policy.config.num_replicas + 1
+    for name, touched, bound in touches:
+        assert touched <= c * bound, (name, touched, bound)
+    # Only the first commit meets every store lagging (they were just
+    # built); after it, no operation comes near one call per rank.
+    assert touches[0][0] == "commit_all" and touches[0][2] == n
+    assert max(touched for _, touched, _ in touches[1:]) < n // 8
     remote = sum(
         1
         for plan in plans

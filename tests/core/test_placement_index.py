@@ -2,13 +2,14 @@
 
 ``Placement`` answers ``hosted_by``, ``lost_shards``, ``recoverable``,
 ``group_of`` and ``max_replicas_per_machine`` from indices built once at
-construction.  The reference functions below are the original fleet-scan
-bodies of those queries, kept here as the executable specification the
-indices must match on every placement family and failure set.
+construction.  The reference functions in ``tests.reference.placement``
+are the original fleet-scan bodies of those queries, kept as the
+executable specification the indices must match on every placement
+family and failure set.
 """
 
 import dataclasses
-from typing import Dict, Iterable, List, Tuple
+from typing import List
 
 import pytest
 from hypothesis import given, settings
@@ -23,48 +24,13 @@ from repro.core.placement import (
     topology_aware_placement,
 )
 from repro.frontier.reft import reft_placement
-
-# -- slow twins: the pre-index list-comprehension bodies ----------------------
-
-
-def slow_hosted_by(placement: Placement, rank: int) -> List[int]:
-    return [
-        owner
-        for owner, storers in enumerate(placement.replica_sets)
-        if rank in storers
-    ]
-
-
-def slow_lost_shards(placement: Placement, failed_ranks: Iterable[int]) -> List[int]:
-    failed = set(failed_ranks)
-    unknown = failed - set(range(placement.num_machines))
-    if unknown:
-        raise ValueError(f"unknown ranks in failure set: {sorted(unknown)}")
-    return [
-        owner
-        for owner, storers in enumerate(placement.replica_sets)
-        if storers <= failed
-    ]
-
-
-def slow_recoverable(placement: Placement, failed_ranks: Iterable[int]) -> bool:
-    return not slow_lost_shards(placement, failed_ranks)
-
-
-def slow_group_of(placement: Placement, rank: int) -> Tuple[int, ...]:
-    for group in placement.groups:
-        if rank in group:
-            return group
-    raise KeyError(f"rank {rank} not in any group")
-
-
-def slow_max_replicas_per_machine(placement: Placement) -> int:
-    counts: Dict[int, int] = {}
-    for storers in placement.replica_sets:
-        for machine in storers:
-            counts[machine] = counts.get(machine, 0) + 1
-    return max(counts.values())
-
+from tests.reference.placement import (
+    slow_group_of,
+    slow_hosted_by,
+    slow_lost_shards,
+    slow_max_replicas_per_machine,
+    slow_recoverable,
+)
 
 # -- placement families (N <= 64, m <= 4) -------------------------------------
 

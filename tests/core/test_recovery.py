@@ -11,7 +11,7 @@ from repro.core.recovery import (
     plan_recovery,
 )
 from repro.failures import FailureType
-from repro.storage import CPUCheckpointStore, PersistentStore
+from repro.storage import CPUCheckpointStore, CPUStoreFleet, PersistentStore
 from repro.training import GPT2_100B, ShardingSpec
 from repro.units import MINUTE, gbps
 
@@ -23,14 +23,13 @@ def build_state(n=4, m=2, committed=50, persistent_iteration=10):
     placement = mixed_placement(n, m)
     # 40B keeps shard x 2 buffers x m within a p4d's 1152 GB at n=4.
     spec = ShardingSpec(GPT2_40B, n)
-    stores = {}
+    stores = CPUStoreFleet()
     for machine in cluster:
-        store = CPUCheckpointStore(machine)
+        store = CPUCheckpointStore(machine, fleet=stores)
         for owner in placement.hosted_by(machine.rank):
             store.host_shard(owner, spec.checkpoint_bytes_per_machine)
             store.begin_write(owner, committed)
             store.commit_write(owner, committed)
-        stores[machine.rank] = store
     persistent = PersistentStore(n)
     for rank in range(n):
         persistent.put_shard(rank, persistent_iteration)

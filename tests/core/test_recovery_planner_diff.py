@@ -1,17 +1,17 @@
-"""The shared-list recovery planner against the per-rank planner.
+"""The fleet recovery planner against the per-rank planner.
 
-``plan_recovery`` copies its retrievals from prebuilt uniform tuples and
-allocates entries only for failed ranks.  ``per_rank_plan_recovery``
-below is the planner body from before that change, which built one
-``ShardRetrieval`` per rank per plan; it is kept as the executable
-specification.  Over random placements, store states (stale, corrupted
-and invalid stores among them), failed sets and failure types, both must
-return equal plans or raise the same exception.
+``plan_recovery`` reads the survivors' own replicas off the fleet's
+shared floor and its lagging stores, copies its retrievals from prebuilt
+uniform tuples and allocates entries only for failed ranks.
+``per_rank_plan_recovery`` (in ``tests.reference.planner``) reads every
+rank's store and builds one ``ShardRetrieval`` per rank per plan; it is
+kept as the executable specification.  Over random placements, store
+states (in-step, stale, corrupted and invalid stores among them), failed
+sets and failure types, both must return equal plans or raise the same
+exception.
 """
 
 from __future__ import annotations
-
-from typing import Dict, List
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,93 +33,9 @@ from repro.core.recovery import (
     uniform_retrievals,
 )
 from repro.failures import FailureType
-from repro.storage import CPUCheckpointStore, PersistentStore
+from repro.storage import CPUCheckpointStore, CPUStoreFleet, PersistentStore
 from repro.units import GB
-
-# -- slow twin: the per-rank planner -------------------------------------------
-
-
-def per_rank_plan_recovery(
-    placement: Placement,
-    stores: Dict[int, CPUCheckpointStore],
-    persistent: PersistentStore,
-    failure_type: FailureType,
-    failed_ranks: List[int],
-) -> RecoveryPlan:
-    n = placement.num_machines
-    failed = set(failed_ranks)
-
-    if failure_type is FailureType.SOFTWARE:
-        iterations = [stores[rank].latest_complete(rank) for rank in range(n)]
-        if all(it is not None for it in iterations):
-            rollback = min(iterations)
-            retrievals = [
-                ShardRetrieval(rank=rank, source=RetrievalSource.LOCAL_CPU)
-                for rank in range(n)
-            ]
-            return RecoveryPlan(
-                failure_type=failure_type,
-                failed_ranks=sorted(failed),
-                retrievals=retrievals,
-                rollback_iteration=rollback,
-                from_cpu_memory=True,
-            )
-        return per_rank_persistent_plan(placement, persistent, failure_type, failed)
-
-    retrievals: List[ShardRetrieval] = []
-    iterations: List[int] = []
-    for rank in range(n):
-        if rank not in failed:
-            own = stores[rank].latest_complete(rank)
-            if own is None:
-                return per_rank_persistent_plan(
-                    placement, persistent, failure_type, failed
-                )
-            iterations.append(own)
-            retrievals.append(ShardRetrieval(rank=rank, source=RetrievalSource.LOCAL_CPU))
-            continue
-        peer = latest = None
-        for candidate in sorted(placement.storers_of(rank)):
-            if candidate == rank or candidate in failed:
-                continue
-            latest = stores[candidate].latest_complete(rank)
-            if latest is not None:
-                peer = candidate
-                break
-        if peer is None:
-            return per_rank_persistent_plan(placement, persistent, failure_type, failed)
-        iterations.append(latest)
-        retrievals.append(
-            ShardRetrieval(rank=rank, source=RetrievalSource.REMOTE_CPU, peer=peer)
-        )
-    return RecoveryPlan(
-        failure_type=failure_type,
-        failed_ranks=sorted(failed),
-        retrievals=retrievals,
-        rollback_iteration=min(iterations),
-        from_cpu_memory=True,
-    )
-
-
-def per_rank_persistent_plan(placement, persistent, failure_type, failed) -> RecoveryPlan:
-    rollback = persistent.latest_complete()
-    if rollback is None:
-        raise UnrecoverableError(
-            "no complete checkpoint in persistent storage and CPU-memory "
-            "replicas are unavailable"
-        )
-    retrievals = [
-        ShardRetrieval(rank=rank, source=RetrievalSource.PERSISTENT)
-        for rank in range(placement.num_machines)
-    ]
-    return RecoveryPlan(
-        failure_type=failure_type,
-        failed_ranks=sorted(failed),
-        retrievals=retrievals,
-        rollback_iteration=rollback,
-        from_cpu_memory=False,
-    )
-
+from tests.reference.planner import per_rank_plan_recovery
 
 # -- random fleets --------------------------------------------------------------
 
@@ -155,15 +71,23 @@ def fleets(draw):
     placement = draw(placements())
     n = placement.num_machines
     cluster = Cluster(n, P4D_24XLARGE)
-    stores = {}
+    stores = CPUStoreFleet()
     for machine in cluster:
-        store = CPUCheckpointStore(machine)
+        store = CPUCheckpointStore(machine, fleet=stores)
         for owner in placement.hosted_by(machine.rank):
             store.host_shard(owner, 1 * GB)
-        stores[machine.rank] = store
-    # A fleet-wide history: bulk commits and reseeds reach every store.
-    history = st.tuples(st.booleans(), st.integers(0, 12))
-    for is_reseed, iteration in draw(st.lists(history, min_size=1, max_size=4)):
+    # A fleet-wide history: bulk commits and reseeds reach every store,
+    # through the fleet's shared floor or one store at a time.
+    history = st.tuples(st.booleans(), st.booleans(), st.integers(0, 12))
+    for is_reseed, shared, iteration in draw(
+        st.lists(history, min_size=1, max_size=4)
+    ):
+        if shared:
+            if is_reseed:
+                stores.reseed(iteration)
+            else:
+                stores.commit_all(iteration)
+            continue
         for store in stores.values():
             if is_reseed:
                 store.reseed(iteration)
@@ -236,11 +160,12 @@ def test_plans_do_not_share_their_lists():
     assert uniform_retrievals(8, RetrievalSource.PERSISTENT) is first
     cluster = Cluster(8, P4D_24XLARGE)
     placement = mixed_placement(8, 2)
-    stores = {machine.rank: CPUCheckpointStore(machine) for machine in cluster}
-    for rank, store in stores.items():
-        for owner in placement.hosted_by(rank):
+    stores = CPUStoreFleet()
+    for machine in cluster:
+        store = CPUCheckpointStore(machine, fleet=stores)
+        for owner in placement.hosted_by(machine.rank):
             store.host_shard(owner, 1 * GB)
-        store.commit_all(3)
+    stores.commit_all(3)
     persistent = PersistentStore(8)
     cluster.machine(2).mark_failed()
     plan = plan_recovery(placement, stores, persistent, FailureType.HARDWARE, [2])
